@@ -7,7 +7,7 @@ construction of a symmetric nondegenerate self-duality pairing.
 """
 
 from .catalog import CATALOG, AlgebraCatalogEntry, entry_by_name, render_table
-from .linalg import GramDiagnosis, RationalMatrix, Subspace, gram_diagnose, kernel_basis, span_ops
+from .linalg import GramDiagnosis, RationalMatrix, Subspace, gram_diagnose, kernel_basis
 from .pairing import (
     AdaptedBasis,
     DegenerateBaseForm,
@@ -93,6 +93,5 @@ __all__ = [
     "s_from_r",
     "series_from_json",
     "series_to_json",
-    "span_ops",
     "verify_hopf_pairing",
 ]

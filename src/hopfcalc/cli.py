@@ -84,9 +84,12 @@ def _cap(default: int) -> int:
     if raw is None or raw == "":
         return default
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise ValueError(f"HOPF_CAP must be an integer, got {raw!r}") from exc
+    if cap < 1:
+        raise ValueError(f"HOPF_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _emit(payload: dict) -> None:

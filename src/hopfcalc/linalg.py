@@ -10,6 +10,7 @@ Subspace stores a canonical basis and subspace equality is value equality.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -33,7 +34,7 @@ class RationalMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        entries = tuple(Fraction(e) for e in self.entries)
+        entries = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in self.entries)
         if len(entries) != self.rows * self.cols:
             raise ValueError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
@@ -52,7 +53,7 @@ class RationalMatrix:
             width = cols if cols is not None else 0
         if cols is not None and width != cols:
             raise ValueError(f"rows of length {width} do not match cols={cols}")
-        flat = tuple(Fraction(x) for row in rows for x in row)
+        flat = tuple(x for row in rows for x in row)
         return cls(len(rows), width, flat)
 
     @classmethod
@@ -168,19 +169,18 @@ def stack_rows(matrices: Iterable[RationalMatrix], cols: Optional[int] = None) -
 # elimination cores
 
 
-def _integerize(row: Sequence[Fraction]) -> list[int]:
+def integer_row(row: Sequence[Fraction]) -> list[int]:
+    """Primitive integer multiple of a rational row: denominators and common factors cleared."""
     scale = lcm(*(c.denominator for c in row)) if row else 1
-    out = [int(c * scale) for c in row]
-    g = 0
-    for v in out:
-        g = gcd(g, v)
+    out = [c.numerator * (scale // c.denominator) for c in row]
+    g = gcd(*out)
     if g > 1:
         out = [v // g for v in out]
     return out
 
 def _rref(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Canonical reduced row-echelon form; returns (nonzero rows, pivot columns)."""
-    work = [_integerize(r) for r in rows]
+    work = [integer_row(r) for r in rows]
     pivots: list[int] = []
     pivot_row = 0
     for col in range(cols):
@@ -266,6 +266,16 @@ class Subspace:
         return cls(ambient_dim, RationalMatrix.from_rows(reduced, cols=ambient_dim))
 
     @classmethod
+    def coordinate(cls, ambient_dim: int, indices: Iterable[int]) -> Subspace:
+        """Span of the unit vectors at the given coordinates; canonical as built."""
+        picked = sorted(set(indices))
+        if picked and (picked[0] < 0 or picked[-1] >= ambient_dim):
+            raise AmbientMismatch(f"coordinates {picked} in ambient dimension {ambient_dim}")
+        zero, one = Fraction(0), Fraction(1)
+        rows = [[one if j == k else zero for j in range(ambient_dim)] for k in picked]
+        return cls(ambient_dim, RationalMatrix.from_rows(rows, cols=ambient_dim))
+
+    @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
         return cls(ambient_dim, RationalMatrix.from_rows([], cols=ambient_dim))
 
@@ -294,13 +304,6 @@ class Subspace:
         return not any(v)
 
 
-@dataclass(frozen=True)
-class SpanParts:
-    sum: Subspace
-    intersection: Subspace
-    complement_of_a_in_sum: Subspace
-
-
 def kernel_basis(m: RationalMatrix) -> Subspace:
     """Canonical basis of the right kernel { x : m x = 0 }."""
     reduced, pivots = _rref(m.to_rows(), m.cols)
@@ -316,74 +319,38 @@ def kernel_basis(m: RationalMatrix) -> Subspace:
     return Subspace.span(m.cols, vectors)
 
 
-def extend_independent(
-    base_rows: Sequence[Sequence[Fraction | int]],
-    candidates: Sequence[Sequence[Fraction | int]],
-    ambient_dim: int,
-) -> list[list[Fraction]]:
-    """Greedily keep the candidates (in order) that enlarge span(base_rows).
+def greedy_picks(rows: Sequence[Sequence[int]], width: int) -> tuple[list[int], dict[int, list[int]]]:
+    """Greedy picks of integer rows by their first ``width`` entries.
 
-    Returns the kept candidates unchanged; together with the base they span
-    base + span(kept).  This is the deterministic complement-picking rule used
-    everywhere: earlier candidates win.
+    Row k is picked when its first ``width`` entries leave the span of those
+    of the earlier picks, so earlier rows win: the deterministic complement
+    rule.  Entries past ``width`` ride along through the elimination: for
+    each row k not picked, the second result maps k to those entries of a
+    combination of rows[k] (coefficient nonzero) and earlier rows whose first
+    ``width`` entries vanish.  Fraction-free with gcd trimming: all in int.
     """
-    echelon: list[list[Fraction]] = []
-
-    def reduce_and_maybe_insert(vector: Sequence[Fraction | int], insert: bool) -> bool:
-        v = [Fraction(x) for x in vector]
-        for row in echelon:
-            lead = next(j for j, x in enumerate(row) if x)
-            if v[lead]:
-                coeff = v[lead] / row[lead]
-                v = [a - coeff * b for a, b in zip(v, row)]
-        if not any(v):
-            return False
-        if insert:
-            echelon.append(v)
-            echelon.sort(key=lambda row: next(j for j, x in enumerate(row) if x))
-        return True
-
-    for row in base_rows:
-        if len(row) != ambient_dim:
-            raise AmbientMismatch(f"vector of length {len(row)} in ambient dimension {ambient_dim}")
-        reduce_and_maybe_insert(row, insert=True)
-    kept: list[list[Fraction]] = []
-    for cand in candidates:
-        if len(cand) != ambient_dim:
-            raise AmbientMismatch(f"vector of length {len(cand)} in ambient dimension {ambient_dim}")
-        if reduce_and_maybe_insert(cand, insert=True):
-            kept.append([Fraction(x) for x in cand])
-    return kept
-
-
-def span_ops(a: Subspace, b: Subspace) -> SpanParts:
-    """Sum, intersection, and a complement of a inside the sum.
-
-    The complement is spanned by the first rows of b's canonical basis that
-    enlarge a; so a ⊕ complement = a + b by construction.
-    """
-    if a.ambient_dim != b.ambient_dim:
-        raise AmbientMismatch(f"ambient dimensions {a.ambient_dim} != {b.ambient_dim}")
-    n = a.ambient_dim
-    a_rows = a.basis_rows()
-    b_rows = b.basis_rows()
-    total = Subspace.span(n, a_rows + b_rows)
-
-    stacked = RationalMatrix.from_rows(a_rows + b_rows, cols=n)
-    left_kernel = kernel_basis(stacked.transpose())
-    meet_vectors = []
-    for combo in left_kernel.basis_rows():
-        x = combo[: a.dim]
-        vec = [Fraction(0)] * n
-        for coeff, row in zip(x, a_rows):
-            if coeff:
-                vec = [u + coeff * w for u, w in zip(vec, row)]
-        meet_vectors.append(vec)
-    meet = Subspace.span(n, meet_vectors)
-
-    kept = extend_independent(a_rows, b_rows, n)
-    complement = Subspace.span(n, kept)
-    return SpanParts(total, meet, complement)
+    echelon: dict[int, list[int]] = {}  # leading column -> reduced row
+    leads: list[int] = []  # sorted
+    picks: list[int] = []
+    rests: dict[int, list[int]] = {}
+    for k, row in enumerate(rows):
+        v = list(row)
+        for col in leads:
+            if v[col]:
+                pivot = echelon[col]
+                p, a = pivot[col], v[col]
+                v = [p * x - a * y for x, y in zip(v, pivot)]
+                g = gcd(*v)
+                if g > 1:
+                    v = [x // g for x in v]
+        lead = next((j for j in range(width) if v[j]), None)
+        if lead is None:
+            rests[k] = v[width:]
+        else:
+            picks.append(k)
+            echelon[lead] = v
+            insort(leads, lead)
+    return picks, rests
 
 
 @dataclass(frozen=True)

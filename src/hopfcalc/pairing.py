@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import RationalMatrix, Subspace, kernel_basis, stack_rows
+from .linalg import RationalMatrix, kernel_basis, stack_rows
 from .structure import DegreeDecomposition, HopfStructure
 from .trees import Forest, GradedVector
 
@@ -132,9 +132,9 @@ def _extend_degree(
     dim = alg.dim(n)
     basis = alg.basis(n)
     multi = [k for k, f in enumerate(basis) if len(f.trees) >= 2]
-    unit_rows = [[Fraction(1 if i == k else 0) for i in range(dim)] for k in multi]
-    # freeness: products of lower degrees span exactly the multi-tree forests
-    assert split.decomposables == Subspace.span(dim, unit_rows)
+    # structure.decomposables guarantees these are the multi-tree unit
+    # vectors in basis order, and that core and complement rows live on them
+    unit_rows = split.decomposables.basis_rows()
 
     forced = _forced_product_rows(state, n)
     core_rows = split.core.basis_rows()
@@ -147,7 +147,6 @@ def _extend_degree(
 
     functionals: list[list[Fraction]] = []
     for x in core_rows + m_rows:
-        assert all(x[k] == 0 for k in range(dim) if k not in forced)
         row = [Fraction(0)] * dim
         for k, prow in forced.items():
             if x[k]:

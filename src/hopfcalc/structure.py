@@ -13,8 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RationalMatrix, Subspace, extend_independent, kernel_basis, span_ops
+from .linalg import RationalMatrix, Subspace, greedy_picks, integer_row, kernel_basis
 from .trees import ForestAlgebra, GradedVector
+
+
+class FreenessError(RuntimeError):
+    """Products of lower degrees do not span exactly the multi-tree forests."""
 
 
 @dataclass(frozen=True)
@@ -140,18 +144,26 @@ class HopfStructure:
         return cached
 
     def decomposables(self, n: int) -> Subspace:
-        """Span of all products of positive-degree basis vectors totalling n."""
+        """Span of all products of positive-degree basis vectors totalling n.
+
+        The algebra is free on trees, so these are the unit vectors of the
+        forests of two or more trees; products that say otherwise raise FreenessError.
+        """
         if n < 1:
             raise ValueError("decomposables are graded by degree >= 1")
         cached = self._decomposables.get(n)
         if cached is None:
             alg = self.algebra
-            rows = []
-            for i in range(1, n):
-                for f in alg.basis(i):
-                    for g in alg.basis(n - i):
-                        rows.append(alg.vector(f * g).coords)
-            cached = Subspace.span(alg.dim(n), rows)
+            pairs = ((f, g) for i in range(1, n) for f in alg.basis(i) for g in alg.basis(n - i))
+            hit = {alg.index(f * g) for f, g in pairs}
+            _, multi = self._coordinates(n)
+            if hit != set(multi):
+                first = min(hit.symmetric_difference(multi))
+                raise FreenessError(
+                    f"degree-{n} products of basis forests are not exactly the forests of "
+                    f"two or more trees; they differ at {alg.basis(n)[first].encode()!r}"
+                )
+            cached = Subspace.coordinate(alg.dim(n), multi)
             self._decomposables[n] = cached
         return cached
 
@@ -180,34 +192,48 @@ class HopfStructure:
 
         Complements are picked deterministically: canonical echelon basis rows
         of the enclosing space extend the core, and canonical unit vectors (in
-        basis order) extend everything else to the full degree.
+        basis order) extend everything else to the full degree.  As the
+        decomposables are the multi-tree coordinates, the core is the primitives
+        vanishing on the single trees, and the other picks are made on the trees.
         """
         if n < 1:
             raise ValueError("decomposition is graded by degree >= 1")
         cached = self._decompositions.get(n)
         if cached is not None:
             return cached
-        alg = self.algebra
-        dim = alg.dim(n)
+        dim = self.algebra.dim(n)
         prim = self.primitives(n)
-        dec = self.decomposables(n)
-        core = span_ops(prim, dec).intersection
-        m_part = span_ops(core, dec).complement_of_a_in_sum
-        h_part = span_ops(core, prim).complement_of_a_in_sum
-        spanned = span_ops(prim, dec).sum
-        unit_rows = RationalMatrix.identity(dim).to_rows()
-        kept = extend_independent(spanned.basis_rows(), unit_rows, dim)
+        trees, multi = self._coordinates(n)
+        t, p_rows = len(trees), [integer_row(row) for row in prim.basis_rows()]
+        on_trees = [[row[k] for k in trees] for row in p_rows]
+        # each projection carries its row: dependent ones leave primitives zero on the trees
+        picks, rests = greedy_picks([proj + row for proj, row in zip(on_trees, p_rows)], t)
+        core = Subspace.span(dim, list(rests.values()))
+        units = [[int(i == j) for j in range(t)] for i in range(t)]
+        w_picks, _ = greedy_picks([on_trees[k] for k in picks] + units, t)
+        w_part = [trees[k - len(picks)] for k in w_picks if k >= len(picks)]
+        on_multi = [integer_row([row[k] for k in multi]) for row in core.basis_rows()]
+        on_multi += [[int(i == j) for j in range(len(multi))] for i in range(len(multi))]
+        m_picks, _ = greedy_picks(on_multi, len(multi))
+        m_part = [multi[k - core.dim] for k in m_picks if k >= core.dim]
         built = DegreeDecomposition(
             degree=n,
             primitives=prim,
-            decomposables=dec,
+            decomposables=self.decomposables(n),
             core=core,
-            decomposable_complement=m_part,
-            primitive_generators=h_part,
-            residual=Subspace.span(dim, kept),
+            decomposable_complement=Subspace.coordinate(dim, m_part),
+            primitive_generators=Subspace.span(dim, [p_rows[k] for k in picks]),
+            residual=Subspace.coordinate(dim, w_part),
         )
         self._decompositions[n] = built
         return built
+
+    def _coordinates(self, n: int) -> tuple[list[int], list[int]]:
+        """Basis indices of degree n: single trees, and forests of two or more trees."""
+        basis = self.algebra.basis(n)
+        trees = [k for k, f in enumerate(basis) if len(f.trees) == 1]
+        multi = [k for k, f in enumerate(basis) if len(f.trees) > 1]
+        return trees, multi
 
     def check_primitive_count(self, n: int) -> PrimitiveCountCheck:
         """Primitives must be exactly as numerous as algebra generators."""

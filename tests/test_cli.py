@@ -132,7 +132,8 @@ def test_tables_output_and_cap(capsys):
     assert out.split("\n")[0] == "name,n1,n2"
 
 
-def test_nck_dims(capsys):
+def test_nck_dims(capsys, monkeypatch):
+    monkeypatch.delenv("HOPF_CAP", raising=False)
     code, out, _ = run_cli(capsys, "nck", "dims", "--max-degree", "5")
     assert code == 0
     payload = json.loads(out)
@@ -142,7 +143,8 @@ def test_nck_dims(capsys):
     assert payload["decorations"] == [{"label": "a", "degree": 1}]
 
 
-def test_nck_dims_two_decorations(tmp_path, capsys):
+def test_nck_dims_two_decorations(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HOPF_CAP", raising=False)
     path = write(tmp_path, "dec.json", '[{"label": "a", "degree": 1}, {"label": "b", "degree": 1}]')
     code, out, _ = run_cli(capsys, "nck", "dims", "--max-degree", "3", "--decorations", path)
     assert code == 0
@@ -152,7 +154,8 @@ def test_nck_dims_two_decorations(tmp_path, capsys):
     assert code == 2
 
 
-def test_nck_verify(capsys):
+def test_nck_verify(capsys, monkeypatch):
+    monkeypatch.delenv("HOPF_CAP", raising=False)
     code, out, _ = run_cli(capsys, "nck", "verify", "--max-degree", "4")
     assert code == 0
     payload = json.loads(out)
@@ -174,6 +177,10 @@ def test_nck_caps(capsys, monkeypatch):
     monkeypatch.setenv("HOPF_CAP", "many")
     code, _, err = run_cli(capsys, "nck", "dims", "--max-degree", "3")
     assert code == 3 and "HOPF_CAP" in err
+    for bad in ("-1", "0"):
+        monkeypatch.setenv("HOPF_CAP", bad)
+        code, _, err = run_cli(capsys, "nck", "verify", "--max-degree", "2")
+        assert code == 3 and "HOPF_CAP" in err and "positive" in err
 
 
 def test_pairing_build(capsys):
@@ -184,7 +191,8 @@ def test_pairing_build(capsys):
     assert payload["basis"] == {"0": ["1"], "1": ["a[]"]}
 
 
-def test_pairing_verify_and_adapt(capsys):
+def test_pairing_verify_and_adapt(capsys, monkeypatch):
+    monkeypatch.delenv("HOPF_CAP", raising=False)
     code, out, _ = run_cli(capsys, "pairing", "verify", "--max-degree", "3")
     assert code == 0
     payload = json.loads(out)
@@ -222,6 +230,14 @@ def test_argparse_usage_error():
     assert info.value.code == 2
 
 
+def child_env() -> dict:
+    """The caller's environment without HOPF_CAP, with the imported package first on the path."""
+    env = {k: v for k, v in os.environ.items() if k != "HOPF_CAP"}
+    src = str(Path(hopfcalc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def console_script(tmp_path, *argv):
     """Run the ``[project.scripts] hopfcalc`` target the way its installed wrapper does.
 
@@ -238,15 +254,12 @@ def console_script(tmp_path, *argv):
         target = tomllib.load(fh)["project"]["scripts"]["hopfcalc"]
     module, _, attr = target.partition(":")
     launcher = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    env = {k: v for k, v in os.environ.items() if k != "HOPF_CAP"}
-    src = str(Path(hopfcalc.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", launcher, *argv],
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env=env,
+        env=child_env(),
     )
 
 
@@ -258,6 +271,18 @@ def test_console_script_end_to_end(tmp_path):
     proc = console_script(tmp_path, "tables", "--which", "s", "--max", "9")
     assert proc.returncode == 4
     assert proc.stderr.startswith("error:")
+
+
+def test_python_dash_m(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfcalc", "tables", "--which", "d"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden_table("d")
 
 
 @pytest.mark.skipif(shutil.which("hopfcalc") is None, reason="hopfcalc is not installed")

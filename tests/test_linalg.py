@@ -10,12 +10,12 @@ from hopfcalc.linalg import (
     NotSquare,
     RationalMatrix,
     Subspace,
-    extend_independent,
     gram_diagnose,
+    greedy_picks,
     kernel_basis,
-    span_ops,
     stack_rows,
 )
+from test_span_oracle import extend_independent
 
 M = RationalMatrix.from_rows
 
@@ -133,7 +133,7 @@ def test_rank_nullity_randomized():
 
 
 # ---------------------------------------------------------------------------
-# subspaces and span operations
+# subspaces and greedy picks
 
 
 def test_subspace_canonical_equality():
@@ -149,45 +149,37 @@ def test_subspace_canonical_equality():
         a.contains([1, 0])
 
 
-def test_span_ops_examples():
-    a = Subspace.span(2, [[1, 0]])
-    b = Subspace.span(2, [[0, 1]])
-    parts = span_ops(a, b)
-    assert parts.sum == Subspace.full(2)
-    assert parts.intersection == Subspace.zero(2)
-    assert parts.complement_of_a_in_sum == b
-
-    same = span_ops(a, a)
-    assert same.intersection == a
-    assert same.complement_of_a_in_sum == Subspace.zero(2)
-
-    u = Subspace.span(3, [[1, 0, 0], [0, 1, 0]])
-    v = Subspace.span(3, [[0, 1, 0], [0, 0, 1]])
-    assert span_ops(u, v).intersection == Subspace.span(3, [[0, 1, 0]])
-
+def test_coordinate_subspace():
+    assert Subspace.coordinate(4, [2, 0]) == Subspace.span(4, [[0, 0, 1, 0], [1, 0, 0, 0]])
+    assert Subspace.coordinate(3, []) == Subspace.zero(3)
+    assert Subspace.coordinate(2, [1, 0]) == Subspace.full(2)
     with pytest.raises(AmbientMismatch):
-        span_ops(a, u)
+        Subspace.coordinate(2, [2])
 
 
-def test_span_ops_modularity_and_complement_randomized():
-    rng = random.Random(11)
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        a = Subspace.span(n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))])
-        b = Subspace.span(n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))])
-        parts = span_ops(a, b)
-        assert parts.sum.dim + parts.intersection.dim == a.dim + b.dim
-        # a ⊕ complement = sum
-        assert parts.complement_of_a_in_sum.dim == parts.sum.dim - a.dim
-        joined = Subspace.span(n, a.basis_rows() + parts.complement_of_a_in_sum.basis_rows())
-        assert joined == parts.sum
-        for v in parts.intersection.basis_rows():
-            assert a.contains(v) and b.contains(v)
+def test_greedy_picks_examples():
+    picks, rests = greedy_picks([[1, 0, 0], [1, 1, 0], [0, 1, 0], [2, 2, 0], [0, 0, 1]], 3)
+    assert picks == [0, 1, 4]
+    assert rests == {2: [], 3: []}
+    assert greedy_picks([], 2) == ([], {})
+    # entries past the width ride along: (2, 4 | 11) - 2·(1, 2 | 5) = (0, 0 | 1)
+    assert greedy_picks([[1, 2, 5], [2, 4, 11]], 2) == ([0], {1: [1]})
 
 
-def test_extend_independent_prefers_early_candidates():
-    kept = extend_independent([[1, 0, 0]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3)
-    assert kept == [[1, 1, 0], [0, 0, 1]]  # second candidate no longer enlarges
+def test_greedy_picks_match_extend_independent_randomized():
+    rng = random.Random(13)
+    for _ in range(60):
+        width = rng.randint(1, 6)
+        count = rng.randint(0, 9)
+        rows = [[rng.randint(-2, 2) * rng.randint(0, 1) for _ in range(width)] for _ in range(count)]
+        # carrying the identity turns each leftover into the relation it came from
+        augmented = [row + [int(i == k) for i in range(count)] for k, row in enumerate(rows)]
+        picks, rests = greedy_picks(augmented, width)
+        assert [rows[k] for k in picks] == extend_independent([], rows, width)
+        assert sorted(picks + list(rests)) == list(range(count))
+        for k, c in rests.items():
+            assert c[k] != 0 and not any(c[k + 1 :])
+            assert all(sum(ci * row[j] for ci, row in zip(c, rows)) == 0 for j in range(width))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcalc.linalg import RationalMatrix, Subspace, span_ops
+from hopfcalc.linalg import RationalMatrix, Subspace
 from hopfcalc.pairing import (
     AdaptedBasis,
     DegenerateBaseForm,
@@ -15,6 +15,7 @@ from hopfcalc.pairing import (
 )
 from hopfcalc.structure import HopfStructure
 from hopfcalc.trees import DecorationSet, ForestAlgebra, parse_forest
+from test_span_oracle import span_ops
 
 TOP = 5
 

@@ -1,0 +1,169 @@
+"""The general subspace calculus, kept as an independent oracle.
+
+``span_ops`` and ``extend_independent`` are the exact Fraction routines the
+four-block decomposition was first built from: intersections through a left
+kernel of the stacked bases, complements by greedy extension.  The library
+now derives the blocks from freeness instead; these routines stay here so the
+tests can rebuild every block the general way and compare.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+import pytest
+
+from hopfcalc.linalg import AmbientMismatch, RationalMatrix, Subspace, kernel_basis
+from hopfcalc.structure import DegreeDecomposition, HopfStructure
+
+
+@dataclass(frozen=True)
+class SpanParts:
+    sum: Subspace
+    intersection: Subspace
+    complement_of_a_in_sum: Subspace
+
+
+def extend_independent(
+    base_rows: Sequence[Sequence[Fraction | int]],
+    candidates: Sequence[Sequence[Fraction | int]],
+    ambient_dim: int,
+) -> list[list[Fraction]]:
+    """Greedily keep the candidates (in order) that enlarge span(base_rows).
+
+    Returns the kept candidates unchanged; together with the base they span
+    base + span(kept).  Earlier candidates win.
+    """
+    echelon: list[list[Fraction]] = []
+
+    def reduce_and_maybe_insert(vector: Sequence[Fraction | int], insert: bool) -> bool:
+        v = [Fraction(x) for x in vector]
+        for row in echelon:
+            lead = next(j for j, x in enumerate(row) if x)
+            if v[lead]:
+                coeff = v[lead] / row[lead]
+                v = [a - coeff * b for a, b in zip(v, row)]
+        if not any(v):
+            return False
+        if insert:
+            echelon.append(v)
+            echelon.sort(key=lambda row: next(j for j, x in enumerate(row) if x))
+        return True
+
+    for row in base_rows:
+        if len(row) != ambient_dim:
+            raise AmbientMismatch(f"vector of length {len(row)} in ambient dimension {ambient_dim}")
+        reduce_and_maybe_insert(row, insert=True)
+    kept: list[list[Fraction]] = []
+    for cand in candidates:
+        if len(cand) != ambient_dim:
+            raise AmbientMismatch(f"vector of length {len(cand)} in ambient dimension {ambient_dim}")
+        if reduce_and_maybe_insert(cand, insert=True):
+            kept.append([Fraction(x) for x in cand])
+    return kept
+
+
+def span_ops(a: Subspace, b: Subspace) -> SpanParts:
+    """Sum, intersection, and a complement of a inside the sum.
+
+    The complement is spanned by the first rows of b's canonical basis that
+    enlarge a; so a ⊕ complement = a + b by construction.
+    """
+    if a.ambient_dim != b.ambient_dim:
+        raise AmbientMismatch(f"ambient dimensions {a.ambient_dim} != {b.ambient_dim}")
+    n = a.ambient_dim
+    a_rows = a.basis_rows()
+    b_rows = b.basis_rows()
+    total = Subspace.span(n, a_rows + b_rows)
+
+    stacked = RationalMatrix.from_rows(a_rows + b_rows, cols=n)
+    left_kernel = kernel_basis(stacked.transpose())
+    meet_vectors = []
+    for combo in left_kernel.basis_rows():
+        x = combo[: a.dim]
+        vec = [Fraction(0)] * n
+        for coeff, row in zip(x, a_rows):
+            if coeff:
+                vec = [u + coeff * w for u, w in zip(vec, row)]
+        meet_vectors.append(vec)
+    meet = Subspace.span(n, meet_vectors)
+
+    kept = extend_independent(a_rows, b_rows, n)
+    complement = Subspace.span(n, kept)
+    return SpanParts(total, meet, complement)
+
+
+def oracle_decomposition(structure: HopfStructure, n: int) -> DegreeDecomposition:
+    """The four blocks of degree n built with the general subspace calculus.
+
+    Only the primitives come from the structure; the decomposables are
+    re-spanned from every product row.
+    """
+    alg = structure.algebra
+    dim = alg.dim(n)
+    prim = structure.primitives(n)
+    dec = Subspace.span(
+        dim,
+        [
+            alg.vector(f * g).coords
+            for i in range(1, n)
+            for f in alg.basis(i)
+            for g in alg.basis(n - i)
+        ],
+    )
+    core = span_ops(prim, dec).intersection
+    spanned = span_ops(prim, dec).sum
+    kept = extend_independent(spanned.basis_rows(), RationalMatrix.identity(dim).to_rows(), dim)
+    return DegreeDecomposition(
+        degree=n,
+        primitives=prim,
+        decomposables=dec,
+        core=core,
+        decomposable_complement=span_ops(core, dec).complement_of_a_in_sum,
+        primitive_generators=span_ops(core, prim).complement_of_a_in_sum,
+        residual=Subspace.span(dim, kept),
+    )
+
+
+def test_span_ops_examples():
+    a = Subspace.span(2, [[1, 0]])
+    b = Subspace.span(2, [[0, 1]])
+    parts = span_ops(a, b)
+    assert parts.sum == Subspace.full(2)
+    assert parts.intersection == Subspace.zero(2)
+    assert parts.complement_of_a_in_sum == b
+
+    same = span_ops(a, a)
+    assert same.intersection == a
+    assert same.complement_of_a_in_sum == Subspace.zero(2)
+
+    u = Subspace.span(3, [[1, 0, 0], [0, 1, 0]])
+    v = Subspace.span(3, [[0, 1, 0], [0, 0, 1]])
+    assert span_ops(u, v).intersection == Subspace.span(3, [[0, 1, 0]])
+
+    with pytest.raises(AmbientMismatch):
+        span_ops(a, u)
+
+
+def test_span_ops_modularity_and_complement_randomized():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        a = Subspace.span(n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))])
+        b = Subspace.span(n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))])
+        parts = span_ops(a, b)
+        assert parts.sum.dim + parts.intersection.dim == a.dim + b.dim
+        # a ⊕ complement = sum
+        assert parts.complement_of_a_in_sum.dim == parts.sum.dim - a.dim
+        joined = Subspace.span(n, a.basis_rows() + parts.complement_of_a_in_sum.basis_rows())
+        assert joined == parts.sum
+        for v in parts.intersection.basis_rows():
+            assert a.contains(v) and b.contains(v)
+
+
+def test_extend_independent_prefers_early_candidates():
+    kept = extend_independent([[1, 0, 0]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3)
+    assert kept == [[1, 1, 0], [0, 0, 1]]  # second candidate no longer enlarges

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcalc.linalg import Subspace, span_ops, stack_rows
+from hopfcalc.linalg import Subspace, stack_rows
 from hopfcalc.series import SeriesProfile, p_from_r, s_from_r
-from hopfcalc.structure import HopfStructure
-from hopfcalc.trees import DecorationSet, ForestAlgebra
+from hopfcalc.structure import FreenessError, HopfStructure
+from hopfcalc.trees import DecorationSet, ForestAlgebra, parse_forest
+from test_span_oracle import oracle_decomposition, span_ops
 
 TOP = 5
 
@@ -62,6 +63,17 @@ def test_decomposables_dims_and_freeness(hs):
             if len(f.trees) >= 2
         ]
         assert hs.decomposables(n) == Subspace.span(alg.dim(n), multi)
+
+
+def test_decomposables_raise_when_products_miss_a_forest(monkeypatch):
+    hs2 = HopfStructure()
+    alg = hs2.algebra
+    two_dots, ladder = parse_forest("a[] a[]"), parse_forest("a[a[]]")
+    index = alg.index
+    # the product a[]·a[] lands on the ladder, so no product hits the two-dot forest
+    monkeypatch.setattr(alg, "index", lambda f: index(ladder) if f == two_dots else index(f))
+    with pytest.raises(FreenessError, match="a\\[\\] a\\[\\]"):
+        hs2.decomposables(2)
 
 
 def test_primitive_count_check(hs):
@@ -124,6 +136,28 @@ def test_decomposition_invariants(hs):
         )
         assert stacked.rank() == alg.dim(n)
     assert s[:5] == [1, 1, 1, 3, 7]
+
+
+@pytest.mark.parametrize(
+    "decorations, top",
+    [((("a", 1),), 6), ((("a", 1), ("b", 2)), 5)],
+    ids=["a1-d6", "a1b2-d5"],
+)
+def test_decomposition_matches_span_ops_oracle(decorations, top):
+    fast = HopfStructure(ForestAlgebra(DecorationSet(decorations)))
+    slow = HopfStructure(fast.algebra)
+    for n in range(1, top + 1):
+        got, want = fast.decomposition(n), oracle_decomposition(slow, n)
+        for field in (
+            "primitives",
+            "decomposables",
+            "core",
+            "decomposable_complement",
+            "primitive_generators",
+            "residual",
+        ):
+            assert getattr(got, field) == getattr(want, field), (n, field)
+        assert got == want
 
 
 def test_decomposition_frozen_small_degrees(hs):
