@@ -7,7 +7,7 @@ construction of a symmetric nondegenerate self-duality pairing.
 """
 
 from .catalog import CATALOG, AlgebraCatalogEntry, entry_by_name, render_table
-from .linalg import GramDiagnosis, RationalMatrix, Subspace, gram_diagnose, kernel_basis
+from .linalg import RationalMatrix, Subspace, kernel_basis
 from .pairing import (
     AdaptedBasis,
     DegenerateBaseForm,
@@ -62,7 +62,6 @@ __all__ = [
     "ForestAlgebra",
     "GateVerdict",
     "GradedVector",
-    "GramDiagnosis",
     "HopfStructure",
     "NonIntegerExponent",
     "PairingReport",
@@ -79,7 +78,6 @@ __all__ = [
     "entry_by_name",
     "gate_free_cofree",
     "gate_nck",
-    "gram_diagnose",
     "kernel_basis",
     "p_from_r",
     "p_from_s",

@@ -34,7 +34,9 @@ class AlgebraCatalogEntry:
 
 
 def _ints(series: SeriesProfile) -> tuple[int, ...]:
-    assert all(c.denominator == 1 for c in series.coeffs)
+    bad = series.first_nonintegral()
+    if bad is not None:
+        raise ValueError(f"{series.kind}-series coefficient {bad} is {series.coeff(bad)}, not an int")
     return tuple(int(c) for c in series.coeffs)
 
 
@@ -52,7 +54,8 @@ def _ordered_bell_row(top: int) -> tuple[int, ...]:
 def _reconstructed(name: str, s_row: tuple[int, ...]) -> AlgebraCatalogEntry:
     r = r_from_s(SeriesProfile.make("S", s_row))
     entry = AlgebraCatalogEntry(name, _ints(r), "reconstructed from its generator series")
-    assert entry.s_row() == s_row
+    if entry.s_row() != s_row:
+        raise RuntimeError(f"{name}: its dimension series does not give back its generator row")
     return entry
 
 

@@ -139,19 +139,6 @@ class RationalMatrix:
             raise ValueError("matrix is singular")
         return RationalMatrix.from_rows([row[n:] for row in reduced[:n]], cols=n)
 
-    def solve(self, rhs: RationalMatrix) -> RationalMatrix:
-        """Exact solution X of self @ X = rhs; requires self square invertible."""
-        if self.rows != self.cols:
-            raise NotSquare(f"solve with a {self.rows}x{self.cols} coefficient matrix")
-        if rhs.rows != self.rows:
-            raise ValueError("right-hand side has the wrong number of rows")
-        n, w = self.rows, rhs.cols
-        aug = [list(self.row(i)) + list(rhs.row(i)) for i in range(n)]
-        reduced, pivots = _rref(aug, n + w)
-        if list(pivots[:n]) != list(range(n)) or len(pivots) < n:
-            raise ValueError("matrix is singular")
-        return RationalMatrix.from_rows([row[n:] for row in reduced[:n]], cols=w)
-
 
 def stack_rows(matrices: Iterable[RationalMatrix], cols: Optional[int] = None) -> RationalMatrix:
     mats = list(matrices)
@@ -195,9 +182,7 @@ def _rref(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], 
                 continue
             rval = work[r][col]
             row = [pval * a - rval * b for a, b in zip(work[r], pivot)]
-            g = 0
-            for v in row:
-                g = gcd(g, v)
+            g = gcd(*row)
             work[r] = [v // g for v in row] if g > 1 else row
         pivots.append(col)
         pivot_row += 1
@@ -351,18 +336,3 @@ def greedy_picks(rows: Sequence[Sequence[int]], width: int) -> tuple[list[int], 
             echelon[lead] = v
             insort(leads, lead)
     return picks, rests
-
-
-@dataclass(frozen=True)
-class GramDiagnosis:
-    symmetric: bool
-    nondegenerate: bool
-    determinant: Fraction
-
-
-def gram_diagnose(g: RationalMatrix) -> GramDiagnosis:
-    """Symmetry and (exact) nondegeneracy of a candidate Gram matrix."""
-    if g.rows != g.cols:
-        raise NotSquare(f"gram matrix must be square, got {g.rows}x{g.cols}")
-    det = g.det()
-    return GramDiagnosis(g.is_symmetric(), det != 0, det)

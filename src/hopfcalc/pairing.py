@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .linalg import RationalMatrix, kernel_basis, stack_rows
 from .structure import DegreeDecomposition, HopfStructure
-from .trees import Forest, GradedVector
+from .trees import Forest
 
 
 class DegenerateBaseForm(ValueError):
@@ -70,59 +70,39 @@ def _split_first_tree(f: Forest) -> tuple[Forest, Forest]:
     return Forest((f.trees[0],)), Forest(f.trees[1:])
 
 
+def _pair_terms(
+    terms: Sequence[tuple[int, int, int]],
+    left_row: Sequence[Fraction],
+    right_row: Sequence[Fraction],
+) -> Fraction:
+    """Sum of c * left_row[a] * right_row[b] over reduced-table terms (a, b, c)."""
+    total = Fraction(0)
+    for a, b, c in terms:
+        x, y = left_row[a], right_row[b]
+        if x and y:
+            total += c * x * y
+    return total
+
+
 def _forced_product_rows(state: PairingState, n: int) -> dict[int, list[Fraction]]:
     """Forced values on every multi-tree basis forest of degree n.
 
     Row k (for basis forest f = t . rest) holds the pairing of t tensor rest
-    against the coproduct of each degree-n basis forest, evaluated with the
-    already-built lower-degree Gram matrices.
+    against the reduced coproduct of each degree-n basis forest, evaluated
+    with the already-built lower-degree Gram matrices.
     """
     alg = state.structure.algebra
-    basis = alg.basis(n)
+    table = alg.reduced_table(n)
     rows: dict[int, list[Fraction]] = {}
-    for k, f in enumerate(basis):
+    for k, f in enumerate(alg.basis(n)):
         if len(f.trees) < 2:
             continue
         head, rest = _split_first_tree(f)
         i = alg.degree(head)
-        j = n - i
-        gi, gj = state.gram[i], state.gram[j]
-        hi, ri = alg.index(head), alg.index(rest)
-        dim_j = alg.dim(j)
-        row = []
-        for y in basis:
-            block = alg.coproduct(y).get((i, j))
-            total = Fraction(0)
-            if block is not None:
-                for a in range(alg.dim(i)):
-                    left = gi.at(hi, a)
-                    if not left:
-                        continue
-                    for b in range(dim_j):
-                        coeff = block.coords[a * dim_j + b]
-                        if coeff:
-                            total += left * coeff * gj.at(ri, b)
-            row.append(total)
-        rows[k] = row
+        left = state.gram[i].row(alg.index(head))
+        right = state.gram[n - i].row(alg.index(rest))
+        rows[k] = [_pair_terms(column.get(i, ()), left, right) for column in table]
     return rows
-
-
-def _forced_value_on_forest(
-    state: PairingState,
-    reduced: dict[tuple[Forest, Forest], Fraction],
-    head: Forest,
-    rest: Forest,
-    i: int,
-    j: int,
-) -> Fraction:
-    alg = state.structure.algebra
-    gi, gj = state.gram[i], state.gram[j]
-    hi, ri = alg.index(head), alg.index(rest)
-    total = Fraction(0)
-    for (left, right), coeff in reduced.items():
-        if alg.degree(left) == i:
-            total += coeff * gi.at(alg.index(left), hi) * gj.at(alg.index(right), ri)
-    return total
 
 
 def _extend_degree(
@@ -130,8 +110,6 @@ def _extend_degree(
 ) -> None:
     alg = state.structure.algebra
     dim = alg.dim(n)
-    basis = alg.basis(n)
-    multi = [k for k, f in enumerate(basis) if len(f.trees) >= 2]
     # structure.decomposables guarantees these are the multi-tree unit
     # vectors in basis order, and that core and complement rows live on them
     unit_rows = split.decomposables.basis_rows()
@@ -161,14 +139,11 @@ def _extend_degree(
         conditions = RationalMatrix.from_rows(unit_rows + h_rows + w_rows, cols=dim)
         cond_inv = conditions.inverse()
         tail = [Fraction(0)] * (len(h_rows) + len(w_rows))
+        # <w, t . rest> = <coproduct of w, t (x) rest> is forced row k times w,
+        # as the lower Grams are symmetric
+        forced_mat = RationalMatrix.from_rows(list(forced.values()), cols=dim)
         for w in w_rows:
-            reduced = alg.reduced_terms_of_vector(GradedVector(n, tuple(w)))
-            values = []
-            for k in multi:
-                head, rest = _split_first_tree(basis[k])
-                i = alg.degree(head)
-                values.append(_forced_value_on_forest(state, reduced, head, rest, i, n - i))
-            functionals.append(list(cond_inv.apply(values + tail)))
+            functionals.append(list(cond_inv.apply(list(forced_mat.apply(w)) + tail)))
 
     value_matrix = RationalMatrix.from_rows(functionals, cols=dim)
     state.gram[n] = b_inv @ value_matrix
@@ -252,59 +227,32 @@ def _check_multiplicativity(state: PairingState) -> Optional[dict]:
     graded representation, so only matched-degree triples carry content.
     """
     alg = state.structure.algebra
+    # <x y, z> = <x (x) y, coproduct of z> reads the lower Grams by rows at x
+    # and y; its mirror <z, x y> reads them by columns
+    lower = {n: state.gram[n] for n in range(1, state.max_degree)}
+    views = {n: (g.to_rows(), g.transpose().to_rows()) for n, g in lower.items()}
     for k in range(2, state.max_degree + 1):
-        gk = state.gram[k]
+        gk, table = state.gram[k], alg.reduced_table(k)
         for i in range(1, k):
-            j = k - i
-            gi, gj = state.gram[i], state.gram[j]
-            dim_j = alg.dim(j)
-            for z in alg.basis(k):
-                blocks = alg.coproduct(z)
-                block = blocks.get((i, j))
-                iz = alg.index(z)
-                for x in alg.basis(i):
-                    ix = alg.index(x)
-                    for y in alg.basis(j):
-                        iy = alg.index(y)
-                        want = Fraction(0)
-                        if block is not None:
-                            for a in range(alg.dim(i)):
-                                left = gi.at(ix, a)
-                                if not left:
-                                    continue
-                                for b in range(dim_j):
-                                    coeff = block.coords[a * dim_j + b]
-                                    if coeff:
-                                        want += left * coeff * gj.at(iy, b)
-                        got = gk.at(alg.index(x * y), iz)
-                        if got != want:
-                            return {
-                                "identity": "product-left",
-                                "x": x.encode(),
-                                "y": y.encode(),
-                                "z": z.encode(),
-                                "got": str(got),
-                                "want": str(want),
-                            }
-                        # mirrored identity: first slot against the coproduct
-                        # of z, i.e. <z, x y> = <coproduct(z), x tensor y>
-                        want = Fraction(0)
-                        if block is not None:
-                            for a in range(alg.dim(i)):
-                                for b in range(dim_j):
-                                    coeff = block.coords[a * dim_j + b]
-                                    if coeff:
-                                        want += coeff * gi.at(a, ix) * gj.at(b, iy)
-                        got = gk.at(iz, alg.index(x * y))
-                        if got != want:
-                            return {
-                                "identity": "product-right",
-                                "x": x.encode(),
-                                "y": y.encode(),
-                                "z": z.encode(),
-                                "got": str(got),
-                                "want": str(want),
-                            }
+            xs, ys = alg.basis(i), alg.basis(k - i)
+            products = [[alg.index(x * y) for y in ys] for x in xs]
+            for iz, z in enumerate(alg.basis(k)):
+                terms = table[iz].get(i, ())
+                for ix, x in enumerate(xs):
+                    for iy, y in enumerate(ys):
+                        for side, identity in enumerate(("product-left", "product-right")):
+                            want = _pair_terms(terms, views[i][side][ix], views[k - i][side][iy])
+                            ixy = products[ix][iy]
+                            got = gk.at(ixy, iz) if side == 0 else gk.at(iz, ixy)
+                            if got != want:
+                                return {
+                                    "identity": identity,
+                                    "x": x.encode(),
+                                    "y": y.encode(),
+                                    "z": z.encode(),
+                                    "got": str(got),
+                                    "want": str(want),
+                                }
     return None
 
 

@@ -194,15 +194,6 @@ def _profile(kind: str, dense: Sequence[Fraction], order: int) -> SeriesProfile:
 # conversions
 
 
-def series_invert(a: SeriesProfile, order: Optional[int] = None) -> SeriesProfile:
-    """Multiplicative inverse of an R-profile (constant term 1), truncated."""
-    _require_kind(a, "R", "series_invert")
-    order = a.order if order is None else order
-    if not 1 <= order <= a.order:
-        raise ValueError(f"inversion order {order} outside 1..{a.order}")
-    return _profile("R", _invert_unit(a.as_dense(), order), order)
-
-
 def p_from_r(r: SeriesProfile) -> SeriesProfile:
     """Primitive dimensions from graded dimensions: P = 1 - 1/R."""
     _require_kind(r, "R", "p_from_r")
@@ -387,8 +378,11 @@ def series_from_json(text: str) -> SeriesProfile:
     if missing:
         raise ValueError(f"series JSON missing keys: {sorted(missing)}")
     kind, order, raw = payload["kind"], payload["order"], payload["coeffs"]
-    if not isinstance(order, int) or not isinstance(raw, list):
+    if isinstance(order, bool) or not isinstance(order, int) or not isinstance(raw, list):
         raise ValueError("series JSON: order must be an int and coeffs a list")
+    for c in raw:
+        if isinstance(c, bool) or not isinstance(c, (int, str)):
+            raise ValueError(f"series JSON: coefficient {c!r} is not an int or a fraction string")
     try:
         coeffs = tuple(Fraction(str(c)) for c in raw)
     except (ValueError, ZeroDivisionError) as exc:

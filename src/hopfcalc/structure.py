@@ -124,11 +124,10 @@ class HopfStructure:
             total += dims[i] * dims[n - i]
         cols = alg.dim(n)
         entries = [[Fraction(0)] * cols for _ in range(total)]
-        for col, f in enumerate(alg.basis(n)):
-            for (left, right), coeff in alg.reduced_coproduct_terms(f).items():
-                i = alg.degree(left)
-                row = offsets[i] + alg.index(left) * dims[n - i] + alg.index(right)
-                entries[row][col] = Fraction(coeff)
+        for col, column in enumerate(alg.reduced_table(n)):
+            for i, terms in column.items():
+                for a, b, coeff in terms:
+                    entries[offsets[i] + a * dims[n - i] + b][col] = Fraction(coeff)
         built = RationalMatrix.from_rows(entries, cols=cols)
         self._reduced[n] = built
         return built

@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TREE_START_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\[")
@@ -37,7 +37,10 @@ class DecorationSet:
     entries: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple((str(label), int(degree)) for label, degree in self.entries)
+        for _, degree in self.entries:
+            if isinstance(degree, bool) or not isinstance(degree, int):
+                raise ValueError(f"decoration degree {degree!r} is not an integer")
+        entries = tuple((str(label), degree) for label, degree in self.entries)
         if not entries:
             raise ValueError("decoration set must not be empty")
         labels = [label for label, _ in entries]
@@ -112,11 +115,6 @@ class Forest:
         return Forest(self.trees + other.trees)
 
 
-def product(f: Forest, g: Forest) -> Forest:
-    """Concatenation; the free product of the forest algebra."""
-    return Forest(f.trees + g.trees)
-
-
 def _parse_tree_prefix(text: str) -> tuple[Tree, str]:
     match = _TREE_START_RE.match(text)
     if not match:
@@ -181,16 +179,9 @@ class GradedVector:
         return not any(self.coords)
 
 
-@dataclass(frozen=True)
-class TensorVector:
-    """Bihomogeneous tensor, dense over basis(i) x basis(j), row-major."""
-
-    bidegree: tuple[int, int]
-    coords: tuple[Fraction, ...]
-
-
 CutTerm = tuple[tuple[Tree, ...], Tree]
-PairTerms = dict[tuple[Forest, Forest], Fraction]
+PairTerms = dict[tuple[Forest, Forest], int]
+TableColumn = dict[int, tuple[tuple[int, int, int], ...]]
 
 
 class ForestAlgebra:
@@ -207,6 +198,7 @@ class ForestAlgebra:
         self._index: dict[int, dict[Forest, int]] = {}
         self._cuts: dict[Tree, tuple[CutTerm, ...]] = {}
         self._coterms: dict[Forest, PairTerms] = {}
+        self._tables: dict[int, tuple[TableColumn, ...]] = {}
 
     # -- degrees ------------------------------------------------------------
 
@@ -319,7 +311,7 @@ class ForestAlgebra:
         cached = self._coterms.get(forest)
         if cached is not None:
             return cached
-        terms: PairTerms = {(Forest(), Forest()): Fraction(1)}
+        terms: PairTerms = {(Forest(), Forest()): 1}
         for tree in forest.trees:
             tree_terms: list[tuple[Forest, Forest]] = [(Forest((tree,)), Forest())]
             tree_terms.extend(
@@ -329,32 +321,10 @@ class ForestAlgebra:
             for (left, right), coeff in terms.items():
                 for part_left, part_right in tree_terms:
                     key = (left * part_left, right * part_right)
-                    combined[key] = combined.get(key, Fraction(0)) + coeff
+                    combined[key] = combined.get(key, 0) + coeff
             terms = combined
-        total = self.degree(forest)
-        for left, right in terms:
-            assert self.degree(left) + self.degree(right) == total, "coproduct lost grading"
         self._coterms[forest] = terms
         return terms
-
-    def _family(self, degree: int, terms: PairTerms) -> dict[tuple[int, int], TensorVector]:
-        by_bidegree: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
-        for (left, right), coeff in terms.items():
-            i = self.degree(left)
-            bucket = by_bidegree.setdefault((i, degree - i), {})
-            bucket[(self.index(left), self.index(right))] = coeff
-        family = {}
-        for (i, j), sparse in sorted(by_bidegree.items()):
-            width = self.dim(j)
-            coords = [Fraction(0)] * (self.dim(i) * width)
-            for (a, b), coeff in sparse.items():
-                coords[a * width + b] = coeff
-            family[(i, j)] = TensorVector((i, j), tuple(coords))
-        return family
-
-    def coproduct(self, forest: Forest) -> dict[tuple[int, int], TensorVector]:
-        """Full cut coproduct, grouped by bidegree (dense TensorVectors)."""
-        return self._family(self.degree(forest), self.coproduct_terms(forest))
 
     def reduced_coproduct_terms(self, forest: Forest) -> PairTerms:
         if self.degree(forest) == 0:
@@ -365,46 +335,29 @@ class ForestAlgebra:
             if not key[0].is_unit and not key[1].is_unit
         }
 
-    def reduced_coproduct(self, forest: Forest) -> dict[tuple[int, int], TensorVector]:
-        return self._family(self.degree(forest), self.reduced_coproduct_terms(forest))
+    def reduced_table(self, n: int) -> tuple[TableColumn, ...]:
+        """Reduced coproduct of every degree-n basis forest, over basis indices.
 
-    def reduced_terms_of_vector(self, x: GradedVector) -> PairTerms:
-        if x.degree == 0:
-            raise DegreeZeroInput("reduced coproduct needs degree >= 1")
-        out: PairTerms = {}
-        for forest, coeff in zip(self.basis(x.degree), x.coords):
-            if not coeff:
-                continue
-            for key, mult in self.reduced_coproduct_terms(forest).items():
-                out[key] = out.get(key, Fraction(0)) + coeff * mult
-        return {key: c for key, c in out.items() if c}
-
-    def iterated_reduced(
-        self, k: int, x: Union[GradedVector, Forest], position: int = 0
-    ) -> dict[tuple[Forest, ...], Fraction]:
-        """k-fold iterate of the reduced coproduct: a sparse order-(k+1) tensor.
-
-        ``position`` chooses which tensor slot gets expanded at each step;
-        coassociativity makes the result independent of the choice (tested).
+        Column z maps each left degree i to the terms (a, b, c) of the reduced
+        coproduct of basis(n)[z] that read c * basis(i)[a] (x) basis(n - i)[b].
+        Raises if a term breaks the grading.
         """
-        if isinstance(x, Forest):
-            x = self.vector(x)
-        if x.degree == 0:
+        if n < 1:
             raise DegreeZeroInput("reduced coproduct needs degree >= 1")
-        if k < 0:
-            raise ValueError("fold count must be >= 0")
-        terms: dict[tuple[Forest, ...], Fraction] = {}
-        for forest, coeff in zip(self.basis(x.degree), x.coords):
-            if coeff:
-                terms[(forest,)] = coeff
-        for step in range(k):
-            slot = min(position, step)
-            expanded: dict[tuple[Forest, ...], Fraction] = {}
-            for key, coeff in terms.items():
-                if self.degree(key[slot]) == 0:
-                    continue
-                for (left, right), mult in self.reduced_coproduct_terms(key[slot]).items():
-                    new_key = key[:slot] + (left, right) + key[slot + 1 :]
-                    expanded[new_key] = expanded.get(new_key, Fraction(0)) + coeff * mult
-            terms = {key: c for key, c in expanded.items() if c}
-        return terms
+        cached = self._tables.get(n)
+        if cached is None:
+            columns = []
+            for forest in self.basis(n):
+                by_left: dict[int, list[tuple[int, int, int]]] = {}
+                for (left, right), coeff in self.reduced_coproduct_terms(forest).items():
+                    i = self.degree(left)
+                    if i + self.degree(right) != n:
+                        raise RuntimeError(
+                            f"coproduct of {forest.encode()!r} breaks the grading at "
+                            f"{left.encode()!r} (x) {right.encode()!r}"
+                        )
+                    by_left.setdefault(i, []).append((self.index(left), self.index(right), coeff))
+                columns.append({i: tuple(terms) for i, terms in by_left.items()})
+            cached = tuple(columns)
+            self._tables[n] = cached
+        return cached

@@ -5,11 +5,12 @@ import pytest
 from hopfcalc.catalog import (
     CATALOG,
     TABLE_ORDER,
+    _ints,
     entry_by_name,
     golden_table,
     render_table,
 )
-from hopfcalc.series import gate_free_cofree, gate_nck
+from hopfcalc.series import SeriesProfile, gate_free_cofree, gate_nck
 
 S_TABLE = {
     "H_NCK": (1, 1, 1, 3, 7, 24, 72, 242),
@@ -116,3 +117,9 @@ def test_render_table_validation():
         golden_table("r")
     with pytest.raises(KeyError):
         entry_by_name("nope")
+
+
+def test_ints_rejects_non_integral_series():
+    assert _ints(SeriesProfile.make("S", [1, 2])) == (1, 2)
+    with pytest.raises(ValueError, match="coefficient 2"):
+        _ints(SeriesProfile.make("S", [1, "1/2"]))

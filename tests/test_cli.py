@@ -93,6 +93,20 @@ def test_convert_parse_failures(tmp_path, capsys):
     assert code == 2 and "kind" in err
 
 
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"kind": "R", "order": 2, "coeffs": ["1", 0.1]}',
+        '{"kind": "R", "order": true, "coeffs": ["1"]}',
+    ],
+    ids=["float-coefficient", "bool-order"],
+)
+def test_convert_rejects_inexact_series(tmp_path, capsys, payload):
+    path = write(tmp_path, "r.json", payload)
+    code, out, err = run_cli(capsys, "convert", "--from", "r", "--to", "r", "--input", path)
+    assert (code, out) == (2, "") and "series" in err
+
 def test_gate_nck_fails_on_counterexample(tmp_path, capsys):
     path = write(tmp_path, "r.json", '{"kind": "R", "order": 3, "coeffs": ["1","2","4"]}')
     code, out, _ = run_cli(capsys, "gate", "--which", "nck", "--input", path)
@@ -153,6 +167,14 @@ def test_nck_dims_two_decorations(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "nck", "dims", "--max-degree", "2", "--decorations", bad)
     assert code == 2
 
+
+
+@pytest.mark.parametrize("degree", ["1.7", "true"])
+def test_nck_rejects_non_integer_degree(tmp_path, capsys, monkeypatch, degree):
+    monkeypatch.delenv("HOPF_CAP", raising=False)
+    path = write(tmp_path, "dec.json", f'[{{"label": "a", "degree": {degree}}}]')
+    code, out, err = run_cli(capsys, "nck", "dims", "--max-degree", "2", "--decorations", path)
+    assert (code, out) == (2, "") and "degree" in err
 
 def test_nck_verify(capsys, monkeypatch):
     monkeypatch.delenv("HOPF_CAP", raising=False)

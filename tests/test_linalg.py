@@ -10,7 +10,6 @@ from hopfcalc.linalg import (
     NotSquare,
     RationalMatrix,
     Subspace,
-    gram_diagnose,
     greedy_picks,
     kernel_basis,
     stack_rows,
@@ -89,7 +88,7 @@ def test_det_examples_and_oracle():
 def test_inverse_and_solve():
     a = M([[2, 1], [1, 1]])
     assert (a @ a.inverse()) == RationalMatrix.identity(2)
-    x = a.solve(M([[1], [0]]))
+    x = a.inverse() @ M([[1], [0]])
     assert a.apply([x.at(0, 0), x.at(1, 0)]) == (1, 0)
     with pytest.raises(ValueError):
         M([[1, 1], [1, 1]]).inverse()
@@ -99,7 +98,7 @@ def test_inverse_and_solve():
         if m.det() == 0:
             continue
         rhs = random_matrix(rng, 5, 3)
-        assert m @ m.solve(rhs) == rhs
+        assert m @ (m.inverse() @ rhs) == rhs
 
 
 def test_stack_rows():
@@ -180,23 +179,6 @@ def test_greedy_picks_match_extend_independent_randomized():
         for k, c in rests.items():
             assert c[k] != 0 and not any(c[k + 1 :])
             assert all(sum(ci * row[j] for ci, row in zip(c, rows)) == 0 for j in range(width))
-
-
-# ---------------------------------------------------------------------------
-# gram diagnostics
-
-
-def test_gram_diagnose():
-    ident = gram_diagnose(RationalMatrix.identity(3))
-    assert ident.symmetric and ident.nondegenerate and ident.determinant == 1
-    hyper = gram_diagnose(M([[0, 1], [1, 0]]))
-    assert hyper.symmetric and hyper.nondegenerate
-    flat = gram_diagnose(M([[1, 1], [1, 1]]))
-    assert flat.symmetric and not flat.nondegenerate and flat.determinant == 0
-    skew = gram_diagnose(M([[0, 1], [-1, 0]]))
-    assert not skew.symmetric
-    with pytest.raises(NotSquare):
-        gram_diagnose(M([[1, 2]]))
 
 
 def test_matrix_subtraction():

@@ -176,6 +176,21 @@ def test_fault_injection_wrong_product_value():
     }
 
 
+def test_fault_injection_mirrored_product_value():
+    # the lower triangle is wrong only where <z, x y> reads it: the mirror fails
+    st = build_pairing(2)
+    st.gram[2] = RationalMatrix.from_rows([[2, 1], [0, Fraction(3, 4)]])
+    by_name = {c.name: c for c in verify_hopf_pairing(st).checks}
+    assert by_name["multiplicativity"].counterexample == {
+        "identity": "product-right",
+        "x": "a[]",
+        "y": "a[]",
+        "z": "a[a[]]",
+        "got": "0",
+        "want": "1",
+    }
+
+
 def test_fault_injection_missing_degree():
     st = build_pairing(2)
     del st.gram[1]

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hopfcalc.series import SeriesProfile, r_from_d
+from hopfcalc.structure import HopfStructure
 from hopfcalc.trees import (
     DecorationSet,
     DegreeZeroInput,
@@ -15,7 +18,6 @@ from hopfcalc.trees import (
     Tree,
     parse_forest,
     parse_tree,
-    product,
 )
 
 DOT = parse_forest("a[]")
@@ -42,6 +44,9 @@ def test_decoration_set_validation():
         DecorationSet((("a", 0),))
     with pytest.raises(ValueError):
         DecorationSet((("a b", 1),))
+    for degree in (1.7, 2.0, True, "2"):
+        with pytest.raises(ValueError):
+            DecorationSet((("a", degree),))
     d = DecorationSet((("a", 1), ("b", 3)))
     assert d.degree_of("b") == 3
     assert d.degree_counts(4) == [1, 0, 1, 0]
@@ -123,15 +128,15 @@ def test_index_rejects_foreign_forest():
 
 
 def test_product_laws():
-    assert product(Forest(), LADDER2) == LADDER2
-    assert product(LADDER2, Forest()) == LADDER2
-    assert product(DOT, DOT) == TWO_DOTS
-    assert product(DOT, DOT) != LADDER2
+    assert Forest() * LADDER2 == LADDER2
+    assert LADDER2 * Forest() == LADDER2
+    assert DOT * DOT == TWO_DOTS
+    assert DOT * DOT != LADDER2
     a, b, c = DOT, LADDER2, CHERRY
-    assert product(product(a, b), c) == product(a, product(b, c))
-    assert product(a, b) != product(b, a)
+    assert (a * b) * c == a * (b * c)
+    assert a * b != b * a
     alg = ForestAlgebra()
-    assert alg.degree(product(b, c)) == alg.degree(b) + alg.degree(c)
+    assert alg.degree(b * c) == alg.degree(b) + alg.degree(c)
 
 
 def test_vector_product_matches_forest_product():
@@ -139,7 +144,7 @@ def test_vector_product_matches_forest_product():
     x = alg.vector(LADDER2).scale(2) + alg.vector(TWO_DOTS)
     y = alg.vector(DOT)
     xy = alg.vector_product(x, y)
-    want = alg.vector(product(LADDER2, DOT)).scale(2) + alg.vector(product(TWO_DOTS, DOT))
+    want = alg.vector(LADDER2 * DOT).scale(2) + alg.vector(TWO_DOTS * DOT)
     assert xy == want
 
 
@@ -182,22 +187,27 @@ def test_cut_branch_order_is_depth_first():
 
 def test_coproduct_tensor_family_shape():
     alg = ForestAlgebra()
-    family = alg.coproduct(CHERRY)
-    assert set(family) == {(0, 3), (1, 2), (2, 1), (3, 0)}
-    block = family[(1, 2)]
-    assert block.bidegree == (1, 2)
-    assert len(block.coords) == alg.dim(1) * alg.dim(2)
-    # coefficient of dot (x) ladder
-    assert block.coords[alg.index(DOT) * alg.dim(2) + alg.index(LADDER2)] == 2
+    column = alg.reduced_table(3)[alg.index(CHERRY)]
+    # dot (x) ladder twice, two dots (x) dot once
+    assert column == {
+        1: ((alg.index(DOT), alg.index(LADDER2), 2),),
+        2: ((alg.index(TWO_DOTS), alg.index(DOT), 1),),
+    }
+    assert alg.reduced_table(1) == ({},)
 
 
 def test_grading_structural_assert():
     alg = ForestAlgebra()
-    for n in range(5):
-        for f in alg.basis(n):
-            for (i, j), block in alg.coproduct(f).items():
-                assert i + j == n
-                assert len(block.coords) == alg.dim(i) * alg.dim(j)
+    for n in range(1, 6):
+        for column in alg.reduced_table(n):
+            assert set(column) <= set(range(1, n))
+            for i, terms in column.items():
+                assert all(a < alg.dim(i) and b < alg.dim(n - i) for a, b, _ in terms)
+    # a term off the grading must stop the table, also under python -O
+    broken = ForestAlgebra()
+    broken.reduced_coproduct_terms = lambda f: {(DOT, DOT): 1}
+    with pytest.raises(RuntimeError, match="grading"):
+        broken.reduced_table(3)
 
 
 def test_counit_law():
@@ -241,7 +251,7 @@ def test_bialgebra_compatibility_low_degree():
         for j in range(1, 5 - i):
             for f in alg.basis(i):
                 for g in alg.basis(j):
-                    fg = product(f, g)
+                    fg = f * g
                     direct = alg.coproduct_terms(fg)
                     composed: dict = {}
                     for (a, b), c in alg.coproduct_terms(f).items():
@@ -266,39 +276,36 @@ def test_reduced_coproduct_examples():
     with pytest.raises(DegreeZeroInput):
         alg.reduced_coproduct_terms(Forest())
     with pytest.raises(DegreeZeroInput):
-        alg.reduced_coproduct(Forest())
+        alg.reduced_table(0)
 
 
-def test_iterated_reduced_examples():
+def test_reduced_matrix_is_linear():
     alg = ForestAlgebra()
-    got = alg.iterated_reduced(2, LADDER3)
-    assert got == {(DOT, DOT, DOT): 1}
-    assert alg.iterated_reduced(0, LADDER2) == {(LADDER2,): 1}
-    assert alg.iterated_reduced(1, alg.vector(LADDER2)) == {(DOT, DOT): 1}
-    assert alg.iterated_reduced(3, LADDER3) == {}
-    with pytest.raises(DegreeZeroInput):
-        alg.iterated_reduced(1, Forest())
-    with pytest.raises(ValueError):
-        alg.iterated_reduced(-1, LADDER2)
-
-
-def test_iterated_reduced_association_independence():
-    alg = ForestAlgebra()
-    rng = random.Random(61)
-    for n in (3, 4, 5):
-        basis = alg.basis(n)
-        for f in rng.sample(basis, min(6, len(basis))):
-            results = [alg.iterated_reduced(2, f, position=p) for p in (0, 1, 99)]
-            assert results[0] == results[1] == results[2]
-
-
-def test_reduced_terms_of_vector_is_linear():
-    alg = ForestAlgebra()
+    reduced = HopfStructure(alg).reduced_matrix(2)
     x = alg.vector(LADDER2).scale(3) - alg.vector(TWO_DOTS)
-    got = alg.reduced_terms_of_vector(x)
-    assert got == {(DOT, DOT): Fraction(1)}  # 3*1 - 2
-    zero = GradedVector(2, (0, 0))
-    assert alg.reduced_terms_of_vector(zero) == {}
+    assert reduced.apply(x.coords) == (1,)  # dot (x) dot: 3*1 - 2
+    assert reduced.apply(GradedVector(2, (0, 0)).coords) == (0,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    degrees=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    n=st.integers(1, 5),
+)
+def test_reduced_table_maps_back_to_reduced_coproduct_terms(degrees, n):
+    decorations = DecorationSet(tuple(zip("abc", degrees)))
+    # the forest count from the series keeps the enumeration small
+    r = r_from_d(SeriesProfile.make("D", decorations.degree_counts(n)))
+    assume(r.coeff(n) <= 300)
+    alg = ForestAlgebra(decorations)
+    for forest, column in zip(alg.basis(n), alg.reduced_table(n)):
+        mapped = [
+            ((alg.basis(i)[a], alg.basis(n - i)[b]), c)
+            for i, terms in column.items()
+            for a, b, c in terms
+        ]
+        want = alg.reduced_coproduct_terms(forest)
+        assert dict(mapped) == want and len(mapped) == len(want)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +324,7 @@ def test_coassociativity_and_compatibility_random_degree_5_6():
         j = rng.randint(max(1, 5 - i), 6 - i)
         f = rng.choice(alg.basis(i))
         g = rng.choice(alg.basis(j))
-        direct = alg.coproduct_terms(product(f, g))
+        direct = alg.coproduct_terms(f * g)
         composed: dict = {}
         for (a, b), c in alg.coproduct_terms(f).items():
             for (x, y), d in alg.coproduct_terms(g).items():
