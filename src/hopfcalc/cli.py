@@ -117,7 +117,9 @@ def cmd_gate(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    if args.max < 1 or args.max > TABLE_ORDER:
+    if args.max < 1:
+        raise ValueError(f"--max must be >= 1, got {args.max}")
+    if args.max > TABLE_ORDER:
         raise CapExceeded(f"tables cover degrees 1..{TABLE_ORDER}, got --max {args.max}")
     print(render_table(args.which, args.max))
     return 0

@@ -147,38 +147,9 @@ def _sqrt_unit(a: Sequence[Fraction], order: int) -> list[Fraction]:
     return t
 
 
-def _one_minus_power(step: int, power: Fraction, order: int) -> list[Fraction]:
-    """(1 - h^step)^power as a dense list, power an integer (possibly negative)."""
-    out = [Fraction(0)] * (order + 1)
-    out[0] = Fraction(1)
-    coeff = Fraction(1)
-    k = 0
-    while (k + 1) * step <= order:
-        # falling-factorial binomial: binom(power, k+1) * (-1)^(k+1)
-        coeff = coeff * (power - k) / (k + 1)
-        k += 1
-        out[k * step] = coeff * (-1) ** k
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    small = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
-    large = [n // d for d in reversed(small) if d * d != n]
-    return small + large
-
-def _mobius(n: int) -> int:
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
+def _divisor_sum(x: Sequence, m: int):
+    """sum_{d | m} d * x[d], for x indexed by degree."""
+    return sum(d * x[d] for d in range(1, m + 1) if m % d == 0)
 
 
 def _require_kind(series: SeriesProfile, kind: str, op: str) -> None:
@@ -208,11 +179,18 @@ def r_from_p(p: SeriesProfile) -> SeriesProfile:
     return _profile("R", _invert_unit(one_minus, p.order), p.order)
 
 
+# The product formula C = 1 - S = prod_n (1 - h^n)^{p_n} has logarithmic
+# derivative h C'/C = -sum_m a_m h^m with a_m = sum_{d | m} d p_d, that is
+#     n c_n = -sum_{k=1..n} a_k c_{n-k}.
+# s_from_p solves this recurrence for c_n, p_from_s for a_n.
+
+
 def s_from_p(p: SeriesProfile) -> SeriesProfile:
     """Indecomposable-primitive dimensions: 1 - S = prod_n (1 - h^n)^{p_n}.
 
     The exponents p_n must be integers (they count free generators of a free
-    Lie algebra); a rational exponent raises NonIntegerExponent.
+    Lie algebra); a rational exponent raises NonIntegerExponent.  The
+    recurrence then runs in integers, and each division by n must be exact.
     """
     _require_kind(p, "P", "s_from_p")
     order = p.order
@@ -221,60 +199,34 @@ def s_from_p(p: SeriesProfile) -> SeriesProfile:
         raise NonIntegerExponent(
             f"p_{bad} = {p.coeff(bad)} is not an integer, product exponents must be integers"
         )
-    prod = [Fraction(1)] + [Fraction(0)] * order
+    exponents = [e.numerator for e in p.as_dense()]
+    a = [0] + [_divisor_sum(exponents, m) for m in range(1, order + 1)]
+    c = [1] + [0] * order
     for n in range(1, order + 1):
-        e = p.coeff(n)
-        if e:
-            prod = _mul(prod, _one_minus_power(n, e, order), order)
-    return _profile("S", [Fraction(0)] + [-c for c in prod[1:]], order)
+        c[n], rest = divmod(-sum(a[k] * c[n - k] for k in range(1, n + 1)), n)
+        if rest:
+            raise RuntimeError(f"product formula: c_{n} is not an integer")
+    return _profile("S", [0] + [-x for x in c[1:]], order)
 
 
 def p_from_s(s: SeriesProfile) -> SeriesProfile:
-    """Invert the product formula by Möbius inversion (Witt-style).
+    """Invert the product formula through its logarithmic derivative.
 
-    With a_m = m [h^m](-log(1 - S)) one has a_m = sum_{n | m} n p_n, so
-    m p_m = sum_{d | m} mu(m/d) a_d.  The result can be non-integral when s is
-    not realizable by integer generator counts; it is returned anyway, and
-    ``result.is_integral()`` / ``result.first_nonintegral()`` report the flag.
+    Solves n c_n = -sum_{k=1..n} a_k c_{n-k} for a_n, then peels the
+    divisor sum a_n = sum_{d | n} d p_d for p_n.  The result can be
+    non-integral when s is not realizable by integer generator counts; it is
+    returned anyway, and ``result.is_integral()`` / ``result.first_nonintegral()``
+    report the flag.
     """
     _require_kind(s, "S", "p_from_s")
     order = s.order
-    one_minus = [Fraction(1)] + [-c for c in s.coeffs]
-    # -log(1-S) degree by degree: log' = (1-S)'/(1-S)
-    deriv = [n * one_minus[n] for n in range(1, order + 1)]
-    inv = _invert_unit(one_minus, order)
-    logderiv = _mul(deriv, inv, order - 1)  # coefficients of h^0..h^{order-1}
-    # logderiv[m-1] = [h^{m-1}] d/dh log(1-S) = m [h^m] log(1-S), so a_m = -logderiv[m-1]
+    c = [Fraction(1)] + [-x for x in s.coeffs]
     a = [Fraction(0)] * (order + 1)
-    for m in range(1, order + 1):
-        a[m] = -logderiv[m - 1]
-    p = [Fraction(0)] * (order + 1)
-    for m in range(1, order + 1):
-        acc = Fraction(0)
-        for d in _divisors(m):
-            mu = _mobius(m // d)
-            if mu:
-                acc += mu * a[d]
-        p[m] = acc / m
-    return _profile("P", p, order)
-
-
-def p_from_s_stepwise(s: SeriesProfile) -> SeriesProfile:
-    """Second, independent inversion of the product formula.
-
-    Solves for one exponent at a time: with p_1..p_{n-1} known, the partial
-    product prod_{k<n} (1-h^k)^{p_k} determines p_n because (1-h^n)^{p_n}
-    contributes exactly -p_n at h^n.  Used to cross-check p_from_s.
-    """
-    _require_kind(s, "S", "p_from_s_stepwise")
-    order = s.order
-    target = [Fraction(1)] + [-c for c in s.coeffs]
-    partial = [Fraction(1)] + [Fraction(0)] * order
     p = [Fraction(0)] * (order + 1)
     for n in range(1, order + 1):
-        p[n] = partial[n] - target[n]
-        if p[n]:
-            partial = _mul(partial, _one_minus_power(n, p[n], order), order)
+        a[n] = -n * c[n] - sum(a[k] * c[n - k] for k in range(1, n))
+        # p[n] is still 0 here, so the divisor sum covers d < n only
+        p[n] = (a[n] - _divisor_sum(p, n)) / n
     return _profile("P", p, order)
 
 

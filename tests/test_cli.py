@@ -139,8 +139,10 @@ def test_tables_output_and_cap(capsys):
         assert out == golden_table(which)
     code, _, _ = run_cli(capsys, "tables", "--which", "s", "--max", "9")
     assert code == 4
-    code, _, _ = run_cli(capsys, "tables", "--which", "s", "--max", "0")
-    assert code == 4
+    for bad in ("0", "-3"):
+        code, _, err = run_cli(capsys, "tables", "--which", "s", "--max", bad)
+        assert code == 3
+        assert err.startswith("error: --max must be >= 1")
     code, out, _ = run_cli(capsys, "tables", "--which", "d", "--max", "2")
     assert code == 0
     assert out.split("\n")[0] == "name,n1,n2"

@@ -2,8 +2,9 @@
 
 Every derived expectation is computed here by an oracle that shares no code
 with the library: geometric-series inversion, the printed low-degree
-polynomials, naive integer polynomial products, and the closed-form free Lie
-algebra dimension count.
+polynomials, naive integer polynomial products, the explicit product
+prod (1-h^n)^{p_n} from binomial series, the stepwise inversion of that
+product, and the closed-form free Lie algebra dimension count.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hopfcalc import series
 from hopfcalc.series import (
     GateVerdict,
     NonIntegerExponent,
@@ -23,7 +27,6 @@ from hopfcalc.series import (
     gate_nck,
     p_from_r,
     p_from_s,
-    p_from_s_stepwise,
     r_from_d,
     r_from_p,
     r_from_s,
@@ -49,6 +52,42 @@ def poly_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]
         for j in range(min(len(b), order + 1 - i)):
             out[i + j] += a[i] * b[j]
     return out
+
+
+def one_minus_power(step: int, power: Fraction, order: int) -> list[Fraction]:
+    """(1 - h^step)^power by the binomial series; any rational power."""
+    out = [Fraction(0)] * (order + 1)
+    coeff = Fraction(1)
+    for k in range(order // step + 1):
+        out[k * step] = coeff
+        coeff = -coeff * (power - k) / (k + 1)
+    return out
+
+
+def explicit_product(p: list[int]) -> list[Fraction]:
+    """prod_n (1 - h^n)^{p_n} to order len(p), one binomial series per exponent."""
+    order = len(p)
+    prod = [Fraction(1)] + [Fraction(0)] * order
+    for n, e in enumerate(p, start=1):
+        prod = poly_mul(prod, one_minus_power(n, Fraction(e), order), order)
+    return prod
+
+
+def p_from_s_stepwise(s: SeriesProfile) -> SeriesProfile:
+    """Invert 1 - S = prod_n (1 - h^n)^{p_n} one exponent at a time.
+
+    With p_1..p_{n-1} known, the partial product prod_{k<n} (1-h^k)^{p_k}
+    determines p_n because (1-h^n)^{p_n} contributes exactly -p_n at h^n.
+    """
+    order = s.order
+    target = [Fraction(1)] + [-c for c in s.coeffs]
+    partial = [Fraction(1)] + [Fraction(0)] * order
+    p = [Fraction(0)] * (order + 1)
+    for n in range(1, order + 1):
+        p[n] = partial[n] - target[n]
+        if p[n]:
+            partial = poly_mul(partial, one_minus_power(n, p[n], order), order)
+    return SeriesProfile("P", order, tuple(p[1:]))
 
 
 def geometric_inverse(r: list[int | Fraction], order: int) -> list[Fraction]:
@@ -246,6 +285,23 @@ def test_s_from_p_matches_printed_polynomials():
         )
 
 
+def test_s_from_p_matches_explicit_product():
+    rng = random.Random(61)
+    cases = [[3, 0, -2, 0, 1, -1] + [0] * 20]
+    cases += [[rng.randint(-4, 4) for _ in range(rng.randint(24, 32))] for _ in range(8)]
+    for p in cases:
+        assert 0 in p and min(p) < 0
+        want = explicit_product(p)
+        assert s_from_p(P("P", p)).coeffs == tuple(-c for c in want[1:])
+
+
+def test_s_from_p_raises_on_inexact_division(monkeypatch):
+    # a_m = m gives 2 c_2 = -(a_1 c_1 + a_2 c_0) = -1: not divisible by 2
+    monkeypatch.setattr(series, "_divisor_sum", lambda x, m: m)
+    with pytest.raises(RuntimeError, match="c_2"):
+        s_from_p(P("P", [1, 0, 0]))
+
+
 def test_s_from_p_rejects_rational_exponent():
     with pytest.raises(NonIntegerExponent):
         s_from_p(P("P", [Fraction(1, 2), 0]))
@@ -295,6 +351,17 @@ def test_s_p_round_trip_integer_exponents():
         coeffs = [rng.randint(-4, 4) for _ in range(7)]
         p = P("P", coeffs)
         assert p_from_s(s_from_p(p)) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-6, max_value=6, max_denominator=5), min_size=1, max_size=8
+    )
+)
+def test_p_from_s_matches_stepwise_oracle_on_random_rationals(coeffs):
+    s = P("S", coeffs)
+    assert p_from_s(s) == p_from_s_stepwise(s)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +438,19 @@ def test_d_r_round_trip():
         assert d_from_r(r_from_d(d)) == d
         r = P("R", [rng.randint(-4, 4) for _ in range(8)])
         assert r_from_d(d_from_r(r)) == r
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=10),
+    st.sampled_from(["P", "S", "D"]),
+)
+def test_r_x_r_round_trip_on_random_integer_series(coeffs, kind):
+    # R -> S -> R runs p_from_r, s_from_p, p_from_s and r_from_p
+    r = P("R", coeffs)
+    x = convert(r, kind)
+    assert x.kind == kind and x.is_integral()
+    assert convert(x, "R") == r
 
 
 # ---------------------------------------------------------------------------
