@@ -1,11 +1,21 @@
-"""Exact rational dense linear algebra.
+"""Exact rational linear algebra on integer numerators.
 
-Everything here runs over :class:`fractions.Fraction`, no floats.  Reduction is
-fraction-free inside (rows are cleared to integers and eliminated by
-cross-multiplication with gcd trimming), with pivots normalized to 1 at the
-end.  Pivot choice is deterministic: leftmost column first, then smallest row
-index.  Since reduced row-echelon form is unique for a given row space, every
-Subspace stores a canonical basis and subspace equality is value equality.
+A :class:`RationalMatrix` stores int numerators, row-major, over one positive
+common denominator kept in lowest terms, so equal matrices have equal fields.
+Products, differences, transposes and symmetry checks run in ``int``;
+``Fraction`` values appear only in the views (``entries``, ``row``, ``at``,
+``to_rows``) and in the scalar results of ``det`` and ``apply``.
+
+Every elimination goes through one fraction-free echelon, ``_echelon``:
+integer rows are reduced in turn against the pivot rows found so far, by
+cross-multiplication, and trimmed by their gcd after each step.  It picks
+rows greedily (``greedy_picks``), gives the rank, and carries the scale each
+row picks up, from which ``det`` follows.  A back-substitution over its pivot
+rows gives the canonical reduced row-echelon form behind ``rref``,
+``inverse``, ``kernel_basis`` and ``Subspace.span``.  Pivots are the leftmost
+columns; since reduced row-echelon form is unique for a given row space,
+every Subspace stores a canonical basis and subspace equality is value
+equality.
 """
 
 from __future__ import annotations
@@ -13,7 +23,8 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -25,22 +36,43 @@ class NotSquare(ValueError):
     """A square matrix was required."""
 
 
+def _clear(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """Integer numerators of rational values over their least common denominator."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 @dataclass(frozen=True)
 class RationalMatrix:
+    """Matrix of the rationals ``num[i * cols + j] / den``.
+
+    ``den`` is positive and shares no factor with every numerator; input that
+    does is divided through on construction.
+    """
+
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]  # row-major
+    num: tuple[int, ...]  # row-major
+    den: int = 1
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        entries = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in self.entries)
-        if len(entries) != self.rows * self.cols:
+        num = tuple(self.num)
+        if len(num) != self.rows * self.cols:
             raise ValueError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
-                f"got {len(entries)}"
+                f"got {len(num)}"
             )
-        object.__setattr__(self, "entries", entries)
+        if not set(map(type, num)) <= {int}:
+            raise ValueError("numerators must be integers")
+        if type(self.den) is not int or self.den <= 0:
+            raise ValueError(f"denominator must be a positive integer, got {self.den!r}")
+        g = gcd(self.den, *num)
+        if g > 1:
+            num = tuple(x // g for x in num)
+            object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "num", num)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int]], cols: Optional[int] = None) -> RationalMatrix:
@@ -53,91 +85,107 @@ class RationalMatrix:
             width = cols if cols is not None else 0
         if cols is not None and width != cols:
             raise ValueError(f"rows of length {width} do not match cols={cols}")
-        flat = tuple(x for row in rows for x in row)
-        return cls(len(rows), width, flat)
+        num, den = _clear([x for row in rows for x in row])
+        return cls(len(rows), width, tuple(num), den)
+
+    @classmethod
+    def from_int_rows(cls, rows: Sequence[Sequence[int]], cols: int, den: int = 1) -> RationalMatrix:
+        """The matrix of integer rows, all divided by ``den``."""
+        return cls(len(rows), cols, tuple(x for row in rows for x in row), den)
 
     @classmethod
     def identity(cls, n: int) -> RationalMatrix:
-        return cls(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
+        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> RationalMatrix:
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
+        return cls(rows, cols, (0,) * (rows * cols))
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """Row-major values."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return Fraction(self.num[i * self.cols + j], self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(Fraction(x, self.den) for x in self.int_row(i))
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def int_row(self, i: int) -> tuple[int, ...]:
+        """Numerators of row i, over ``den``."""
+        return self.num[i * self.cols : (i + 1) * self.cols]
+
+    def int_rows(self) -> list[tuple[int, ...]]:
+        return [self.int_row(i) for i in range(self.rows)]
+
     def transpose(self) -> RationalMatrix:
+        c = self.cols
         return RationalMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
+            c, self.rows, tuple(x for j in range(c) for x in self.num[j::c]), self.den
         )
 
     def __matmul__(self, other: RationalMatrix) -> RationalMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ot = other.transpose()
-        flat = []
-        for i in range(self.rows):
-            left = self.row(i)
-            for j in range(other.cols):
-                right = ot.row(j)
-                flat.append(sum((a * b for a, b in zip(left, right) if a and b), Fraction(0)))
-        return RationalMatrix(self.rows, other.cols, tuple(flat))
+        c = other.cols
+        columns = [other.num[j::c] for j in range(c)]
+        flat = tuple(sum(map(mul, row, col)) for row in self.int_rows() for col in columns)
+        return RationalMatrix(self.rows, c, flat, self.den * other.den)
 
     def __sub__(self, other: RationalMatrix) -> RationalMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(
                 f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}"
             )
-        return RationalMatrix(
-            self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))
-        )
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        flat = tuple(a * x - b * y for x, y in zip(self.num, other.num))
+        return RationalMatrix(self.rows, self.cols, flat, den)
 
     def apply(self, vector: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         if len(vector) != self.cols:
             raise ValueError(f"vector of length {len(vector)} against {self.cols} columns")
-        vec = [Fraction(v) for v in vector]
-        return tuple(
-            sum((a * b for a, b in zip(self.row(i), vec) if a and b), Fraction(0))
-            for i in range(self.rows)
-        )
+        vec, den = _clear(vector)
+        den *= self.den
+        return tuple(Fraction(sum(map(mul, row, vec)), den) for row in self.int_rows())
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.at(i, j) == self.at(j, i) for i in range(self.rows) for j in range(i + 1, self.cols)
-        )
+        return self.rows == self.cols and self.num == self.transpose().num
 
     def rref(self) -> tuple[RationalMatrix, tuple[int, ...]]:
-        reduced, pivots = _rref(self.to_rows(), self.cols)
-        return RationalMatrix.from_rows(reduced, cols=self.cols), tuple(pivots)
+        return _rref(self.int_rows(), self.cols)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_echelon(self.int_rows(), self.cols)[0])
 
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise NotSquare(f"determinant of a {self.rows}x{self.cols} matrix")
-        return _bareiss_det(self.to_rows())
+        n = self.rows
+        pivots, _, _, (grown, trimmed) = _echelon(self.int_rows(), n)
+        if len(pivots) < n:
+            return Fraction(0)
+        # the picked rows, reordered by leading column, are triangular
+        leads = list(pivots)
+        inversions = sum(a > b for i, a in enumerate(leads) for b in leads[i + 1 :])
+        diagonal = prod(row[col] for col, row in pivots.items())
+        return Fraction((-1) ** inversions * diagonal * trimmed, grown * self.den**n)
 
     def inverse(self) -> RationalMatrix:
         if self.rows != self.cols:
             raise NotSquare(f"inverse of a {self.rows}x{self.cols} matrix")
         n = self.rows
-        aug = [list(self.row(i)) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-        reduced, pivots = _rref(aug, 2 * n)
-        if list(pivots[:n]) != list(range(n)) or len(pivots) < n:
+        augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.int_rows())]
+        pivots = _echelon(augmented, n)[0]
+        if len(pivots) < n:
             raise ValueError("matrix is singular")
-        return RationalMatrix.from_rows([row[n:] for row in reduced[:n]], cols=n)
+        # [N | I] reduces to [I | N^-1], and the inverse of N / den is den * N^-1
+        inv = _normalized(_back_substitute(pivots), n, 2 * n)
+        return RationalMatrix(n, n, tuple(self.den * x for x in inv.num), inv.den)
 
 
 def stack_rows(matrices: Iterable[RationalMatrix], cols: Optional[int] = None) -> RationalMatrix:
@@ -146,81 +194,105 @@ def stack_rows(matrices: Iterable[RationalMatrix], cols: Optional[int] = None) -
     if len(widths) > 1:
         raise ValueError(f"mixed column counts {sorted(widths)}")
     width = widths.pop() if widths else (cols if cols is not None else 0)
-    rows: list[list[Fraction]] = []
-    for m in mats:
-        rows.extend(m.to_rows())
-    return RationalMatrix.from_rows(rows, cols=width)
+    den = lcm(*(m.den for m in mats))
+    flat = tuple(x * (den // m.den) for m in mats for x in m.num)
+    return RationalMatrix(sum(m.rows for m in mats), width, flat, den)
 
 
 # ---------------------------------------------------------------------------
-# elimination cores
+# the echelon
 
 
-def integer_row(row: Sequence[Fraction]) -> list[int]:
-    """Primitive integer multiple of a rational row: denominators and common factors cleared."""
-    scale = lcm(*(c.denominator for c in row)) if row else 1
-    out = [c.numerator * (scale // c.denominator) for c in row]
-    g = gcd(*out)
-    if g > 1:
-        out = [v // g for v in out]
-    return out
+def _echelon(
+    rows: Iterable[Sequence[int]], width: int
+) -> tuple[dict[int, list[int]], list[int], dict[int, list[int]], tuple[int, int]]:
+    """Fraction-free row echelon of integer rows by their first ``width`` entries.
 
-def _rref(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Canonical reduced row-echelon form; returns (nonzero rows, pivot columns)."""
-    work = [integer_row(r) for r in rows]
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(cols):
-        src = next((r for r in range(pivot_row, len(work)) if work[r][col]), None)
-        if src is None:
-            continue
-        work[pivot_row], work[src] = work[src], work[pivot_row]
-        pivot = work[pivot_row]
-        pval = pivot[col]
-        for r in range(len(work)):
-            if r == pivot_row or not work[r][col]:
-                continue
-            rval = work[r][col]
-            row = [pval * a - rval * b for a, b in zip(work[r], pivot)]
-            g = gcd(*row)
-            work[r] = [v // g for v in row] if g > 1 else row
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(work):
-            break
-    reduced: list[list[Fraction]] = []
-    for r, col in enumerate(pivots):
-        pval = work[r][col]
-        reduced.append([Fraction(v, pval) for v in work[r]])
-    return reduced, pivots
+    Each row in turn is reduced against the pivot rows found so far, by
+    increasing leading column, with ``v <- p*v - a*pivot`` and a gcd trim after
+    every step.  It becomes a pivot row when one of its first ``width`` entries
+    survives; entries past ``width`` ride along.  Returns
+
+    * the pivot rows by leading column, in the order they were picked;
+    * the indices of the picked rows;
+    * for each row not picked, its entries past ``width`` after reduction;
+    * (grown, trimmed): the product over the picked rows of the factor the
+      reduction multiplied each by is grown / trimmed.
+    """
+    pivots: dict[int, list[int]] = {}
+    leads: list[int] = []  # sorted
+    picks: list[int] = []
+    rests: dict[int, list[int]] = {}
+    grown = trimmed = 1
+    for k, row in enumerate(rows):
+        v = list(row)
+        up = down = 1
+        for col in leads:
+            a = v[col]
+            if a:
+                pivot = pivots[col]
+                p = pivot[col]
+                v = [p * x - a * y for x, y in zip(v, pivot)]
+                g = gcd(*v) or 1
+                if g > 1:
+                    v = [x // g for x in v]
+                up, down = up * p, down * g
+                h = gcd(up, down)
+                up, down = up // h, down // h
+        lead = next((j for j in range(width) if v[j]), None)
+        if lead is None:
+            rests[k] = v[width:]
+        else:
+            picks.append(k)
+            pivots[lead] = v
+            insort(leads, lead)
+            grown, trimmed = grown * up, trimmed * down
+    return pivots, picks, rests, (grown, trimmed)
 
 
-def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    work: list[list[int]] = []
-    for row in rows:
-        denom = lcm(*(c.denominator for c in row)) if row else 1
-        work.append([int(c * denom) for c in row])
-        scale *= denom
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        src = next((r for r in range(k, n) if work[r][k]), None)
-        if src is None:
-            return Fraction(0)
-        if src != k:
-            work[k], work[src] = work[src], work[k]
-            sign = -sign
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * pivot - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = pivot
-    return Fraction(sign * work[n - 1][n - 1]) / scale
+def _back_substitute(pivots: dict[int, list[int]]) -> list[tuple[int, list[int]]]:
+    """Pivot rows cleared at every other leading column, as (lead, row) by lead."""
+    done: list[tuple[int, list[int]]] = []  # decreasing lead
+    for col in sorted(pivots, reverse=True):
+        v = pivots[col]
+        for c, row in done:
+            a = v[c]
+            if a:
+                p = row[c]
+                v = [p * x - a * y for x, y in zip(v, row)]
+                g = gcd(*v)
+                if g > 1:
+                    v = [x // g for x in v]
+        done.append((col, v))
+    done.reverse()
+    return done
+
+
+def _normalized(reduced: list[tuple[int, list[int]]], lo: int, hi: int) -> RationalMatrix:
+    """Columns lo..hi of the reduced rows, each divided by its leading entry."""
+    den = lcm(*(row[col] for col, row in reduced))
+    flat = tuple(x * (den // row[col]) for col, row in reduced for x in row[lo:hi])
+    return RationalMatrix(len(reduced), hi - lo, flat, den)
+
+
+def _rref(rows: Iterable[Sequence[int]], cols: int) -> tuple[RationalMatrix, tuple[int, ...]]:
+    """Canonical reduced row-echelon form of integer rows, and its pivot columns."""
+    reduced = _back_substitute(_echelon(rows, cols)[0])
+    return _normalized(reduced, 0, cols), tuple(col for col, _ in reduced)
+
+
+def greedy_picks(rows: Sequence[Sequence[int]], width: int) -> tuple[list[int], dict[int, list[int]]]:
+    """Greedy picks of integer rows by their first ``width`` entries.
+
+    Row k is picked when its first ``width`` entries leave the span of those
+    of the earlier picks, so earlier rows win: the deterministic complement
+    rule.  Entries past ``width`` ride along through the elimination: for
+    each row k not picked, the second result maps k to those entries of a
+    combination of rows[k] (coefficient nonzero) and earlier rows whose first
+    ``width`` entries vanish.
+    """
+    _, picks, rests, _ = _echelon(rows, width)
+    return picks, rests
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +319,7 @@ class Subspace:
                 raise AmbientMismatch(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        reduced, _ = _rref([[Fraction(x) for x in v] for v in vectors], ambient_dim)
-        return cls(ambient_dim, RationalMatrix.from_rows(reduced, cols=ambient_dim))
+        return cls(ambient_dim, _rref((_clear(v)[0] for v in vectors), ambient_dim)[0])
 
     @classmethod
     def coordinate(cls, ambient_dim: int, indices: Iterable[int]) -> Subspace:
@@ -256,17 +327,8 @@ class Subspace:
         picked = sorted(set(indices))
         if picked and (picked[0] < 0 or picked[-1] >= ambient_dim):
             raise AmbientMismatch(f"coordinates {picked} in ambient dimension {ambient_dim}")
-        zero, one = Fraction(0), Fraction(1)
-        rows = [[one if j == k else zero for j in range(ambient_dim)] for k in picked]
-        return cls(ambient_dim, RationalMatrix.from_rows(rows, cols=ambient_dim))
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, RationalMatrix.from_rows([], cols=ambient_dim))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, RationalMatrix.identity(ambient_dim))
+        rows = [[int(j == k) for j in range(ambient_dim)] for k in picked]
+        return cls(ambient_dim, RationalMatrix.from_int_rows(rows, ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -275,64 +337,19 @@ class Subspace:
     def basis_rows(self) -> list[list[Fraction]]:
         return self.basis.to_rows()
 
-    def contains(self, vector: Sequence[Fraction | int]) -> bool:
-        if len(vector) != self.ambient_dim:
-            raise AmbientMismatch(
-                f"vector of length {len(vector)} in ambient dimension {self.ambient_dim}"
-            )
-        v = [Fraction(x) for x in vector]
-        for row in self.basis.to_rows():
-            lead = next((j for j, x in enumerate(row) if x), None)
-            if lead is not None and v[lead]:
-                coeff = v[lead]
-                v = [a - coeff * b for a, b in zip(v, row)]
-        return not any(v)
-
 
 def kernel_basis(m: RationalMatrix) -> Subspace:
     """Canonical basis of the right kernel { x : m x = 0 }."""
-    reduced, pivots = _rref(m.to_rows(), m.cols)
+    reduced, pivots = m.rref()
     pivot_set = set(pivots)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
     vectors = []
-    for f in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        # x_f = 1 and x_p = -reduced[i][f] at the pivot p of each row i, times den
+        v = [0] * m.cols
+        v[f] = reduced.den
+        for p, row in zip(pivots, reduced.int_rows()):
+            v[p] = -row[f]
         vectors.append(v)
-    return Subspace.span(m.cols, vectors)
-
-
-def greedy_picks(rows: Sequence[Sequence[int]], width: int) -> tuple[list[int], dict[int, list[int]]]:
-    """Greedy picks of integer rows by their first ``width`` entries.
-
-    Row k is picked when its first ``width`` entries leave the span of those
-    of the earlier picks, so earlier rows win: the deterministic complement
-    rule.  Entries past ``width`` ride along through the elimination: for
-    each row k not picked, the second result maps k to those entries of a
-    combination of rows[k] (coefficient nonzero) and earlier rows whose first
-    ``width`` entries vanish.  Fraction-free with gcd trimming: all in int.
-    """
-    echelon: dict[int, list[int]] = {}  # leading column -> reduced row
-    leads: list[int] = []  # sorted
-    picks: list[int] = []
-    rests: dict[int, list[int]] = {}
-    for k, row in enumerate(rows):
-        v = list(row)
-        for col in leads:
-            if v[col]:
-                pivot = echelon[col]
-                p, a = pivot[col], v[col]
-                v = [p * x - a * y for x, y in zip(v, pivot)]
-                g = gcd(*v)
-                if g > 1:
-                    v = [x // g for x in v]
-        lead = next((j for j in range(width) if v[j]), None)
-        if lead is None:
-            rests[k] = v[width:]
-        else:
-            picks.append(k)
-            echelon[lead] = v
-            insort(leads, lead)
-    return picks, rests
+    return Subspace(m.cols, _rref(vectors, m.cols)[0])

@@ -42,10 +42,7 @@ class PairingState:
 
     def generator_block(self, n: int) -> RationalMatrix:
         """Gram restricted to the primitive-generator basis of degree n."""
-        split = self.structure.decomposition(n)
-        h_mat = RationalMatrix.from_rows(
-            split.primitive_generators.basis_rows(), cols=self.structure.algebra.dim(n)
-        )
+        h_mat = self.structure.decomposition(n).primitive_generators.basis
         return h_mat @ self.gram[n] @ h_mat.transpose()
 
     def gram_json(self) -> dict:
@@ -72,84 +69,74 @@ def _split_first_tree(f: Forest) -> tuple[Forest, Forest]:
 
 def _pair_terms(
     terms: Sequence[tuple[int, int, int]],
-    left_row: Sequence[Fraction],
-    right_row: Sequence[Fraction],
-) -> Fraction:
+    left_row: Sequence[int],
+    right_row: Sequence[int],
+) -> int:
     """Sum of c * left_row[a] * right_row[b] over reduced-table terms (a, b, c)."""
-    total = Fraction(0)
-    for a, b, c in terms:
-        x, y = left_row[a], right_row[b]
-        if x and y:
-            total += c * x * y
-    return total
+    return sum(c * left_row[a] * right_row[b] for a, b, c in terms)
 
 
-def _forced_product_rows(state: PairingState, n: int) -> dict[int, list[Fraction]]:
-    """Forced values on every multi-tree basis forest of degree n.
+def _row_block(m: RationalMatrix, lo: int, hi: int) -> RationalMatrix:
+    """Rows lo..hi of m."""
+    return RationalMatrix(hi - lo, m.cols, m.num[lo * m.cols : hi * m.cols], m.den)
 
-    Row k (for basis forest f = t . rest) holds the pairing of t tensor rest
-    against the reduced coproduct of each degree-n basis forest, evaluated
-    with the already-built lower-degree Gram matrices.
+
+def _forced_products(state: PairingState, n: int) -> tuple[list[int], RationalMatrix]:
+    """Forced values on the multi-tree basis forests of degree n.
+
+    Returns their basis indices k and a matrix whose row for each k (basis
+    forest f = t . rest) holds the pairing of t tensor rest against the
+    reduced coproduct of each degree-n basis forest, evaluated with the
+    already-built lower-degree Gram matrices.
     """
     alg = state.structure.algebra
     table = alg.reduced_table(n)
-    rows: dict[int, list[Fraction]] = {}
+    multi: list[int] = []
+    rows: list[RationalMatrix] = []
     for k, f in enumerate(alg.basis(n)):
         if len(f.trees) < 2:
             continue
         head, rest = _split_first_tree(f)
         i = alg.degree(head)
-        left = state.gram[i].row(alg.index(head))
-        right = state.gram[n - i].row(alg.index(rest))
-        rows[k] = [_pair_terms(column.get(i, ()), left, right) for column in table]
-    return rows
+        left, right = state.gram[i], state.gram[n - i]
+        lrow, rrow = left.int_row(alg.index(head)), right.int_row(alg.index(rest))
+        values = tuple(_pair_terms(column.get(i, ()), lrow, rrow) for column in table)
+        multi.append(k)
+        rows.append(RationalMatrix(1, len(table), values, left.den * right.den))
+    return multi, stack_rows(rows, cols=len(table))
 
 
 def _extend_degree(
     state: PairingState, n: int, split: DegreeDecomposition, form: RationalMatrix
 ) -> None:
-    alg = state.structure.algebra
-    dim = alg.dim(n)
-    # structure.decomposables guarantees these are the multi-tree unit
+    dim = state.structure.algebra.dim(n)
+    # structure.decomposables guarantees its rows are the multi-tree unit
     # vectors in basis order, and that core and complement rows live on them
-    unit_rows = split.decomposables.basis_rows()
+    multi, forced = _forced_products(state, n)
+    core, m_mat = split.core.basis, split.decomposable_complement.basis
+    h_mat, w_mat = split.primitive_generators.basis, split.residual.basis
+    b_inv = stack_rows([core, m_mat, h_mat, w_mat], cols=dim).inverse()
+    h_offset = core.rows + m_mat.rows
 
-    forced = _forced_product_rows(state, n)
-    core_rows = split.core.basis_rows()
-    m_rows = split.decomposable_complement.basis_rows()
-    h_rows = split.primitive_generators.basis_rows()
-    w_rows = split.residual.basis_rows()
-    b_mat = RationalMatrix.from_rows(core_rows + m_rows + h_rows + w_rows, cols=dim)
-    b_inv = b_mat.inverse()
-    h_offset = len(core_rows) + len(m_rows)
-
-    functionals: list[list[Fraction]] = []
-    for x in core_rows + m_rows:
-        row = [Fraction(0)] * dim
-        for k, prow in forced.items():
-            if x[k]:
-                row = [acc + x[k] * v for acc, v in zip(row, prow)]
-        functionals.append(row)
-    for a in range(len(h_rows)):
-        values = [Fraction(0)] * dim
-        for b in range(len(h_rows)):
-            values[h_offset + b] = form.at(a, b)
-        functionals.append(list(b_inv.apply(values)))
-    if w_rows:
-        conditions = RationalMatrix.from_rows(unit_rows + h_rows + w_rows, cols=dim)
-        cond_inv = conditions.inverse()
-        tail = [Fraction(0)] * (len(h_rows) + len(w_rows))
-        # <w, t . rest> = <coproduct of w, t (x) rest> is forced row k times w,
-        # as the lower Grams are symmetric
-        forced_mat = RationalMatrix.from_rows(list(forced.values()), cols=dim)
-        for w in w_rows:
-            functionals.append(list(cond_inv.apply(list(forced_mat.apply(w)) + tail)))
-
-    value_matrix = RationalMatrix.from_rows(functionals, cols=dim)
-    state.gram[n] = b_inv @ value_matrix
-    state.generator_functionals[n] = RationalMatrix.from_rows(
-        functionals[h_offset:], cols=dim
+    # a core or complement row x pairs as the sum of x[k] times forced row k
+    cm = stack_rows([core, m_mat], cols=dim)
+    cm_multi = RationalMatrix.from_int_rows(
+        [[row[k] for k in multi] for row in cm.int_rows()], len(multi), cm.den
     )
+    parts = [cm_multi @ forced]
+    # primitive generator a pairs as form[a] on the generator block of the
+    # basis and vanishes on the rest: rows of b_inv's generator columns
+    parts.append(form @ _row_block(b_inv.transpose(), h_offset, h_offset + h_mat.rows))
+    if w_mat.rows:
+        conditions = stack_rows([split.decomposables.basis, h_mat, w_mat], cols=dim)
+        on_units = _row_block(conditions.inverse().transpose(), 0, len(multi))
+        # <w, t . rest> = <coproduct of w, t (x) rest> is forced row k times w,
+        # as the lower Grams are symmetric; w vanishes on both generator blocks
+        parts.append(w_mat @ forced.transpose() @ on_units)
+
+    functionals = stack_rows(parts, cols=dim)
+    state.gram[n] = b_inv @ functionals
+    state.generator_functionals[n] = _row_block(functionals, h_offset, dim)
 
 
 def build_pairing(
@@ -228,12 +215,15 @@ def _check_multiplicativity(state: PairingState) -> Optional[dict]:
     """
     alg = state.structure.algebra
     # <x y, z> = <x (x) y, coproduct of z> reads the lower Grams by rows at x
-    # and y; its mirror <z, x y> reads them by columns
+    # and y; its mirror <z, x y> reads them by columns.  Both sides are
+    # compared as numerators over the product of the Grams' denominators.
     lower = {n: state.gram[n] for n in range(1, state.max_degree)}
-    views = {n: (g.to_rows(), g.transpose().to_rows()) for n, g in lower.items()}
+    views = {n: (g.int_rows(), g.transpose().int_rows()) for n, g in lower.items()}
     for k in range(2, state.max_degree + 1):
         gk, table = state.gram[k], alg.reduced_table(k)
+        cols = gk.cols
         for i in range(1, k):
+            scale = lower[i].den * lower[k - i].den
             xs, ys = alg.basis(i), alg.basis(k - i)
             products = [[alg.index(x * y) for y in ys] for x in xs]
             for iz, z in enumerate(alg.basis(k)):
@@ -243,15 +233,15 @@ def _check_multiplicativity(state: PairingState) -> Optional[dict]:
                         for side, identity in enumerate(("product-left", "product-right")):
                             want = _pair_terms(terms, views[i][side][ix], views[k - i][side][iy])
                             ixy = products[ix][iy]
-                            got = gk.at(ixy, iz) if side == 0 else gk.at(iz, ixy)
-                            if got != want:
+                            got = gk.num[ixy * cols + iz] if side == 0 else gk.num[iz * cols + ixy]
+                            if got * scale != want * gk.den:
                                 return {
                                     "identity": identity,
                                     "x": x.encode(),
                                     "y": y.encode(),
                                     "z": z.encode(),
-                                    "got": str(got),
-                                    "want": str(want),
+                                    "got": str(Fraction(got, gk.den)),
+                                    "want": str(Fraction(want, scale)),
                                 }
     return None
 
@@ -261,7 +251,7 @@ def verify_hopf_pairing(state: PairingState) -> PairingReport:
     checks = []
 
     unit = state.gram.get(0)
-    unit_ok = unit is not None and unit.to_rows() == [[Fraction(1)]]
+    unit_ok = unit == RationalMatrix.identity(1)
     checks.append(
         PairingCheck("unit-counit", unit_ok, None if unit_ok else {"degree": 0})
     )
@@ -314,9 +304,7 @@ class OrthogonalityCheck:
 def check_primitive_orthogonality(state: PairingState, n: int) -> OrthogonalityCheck:
     """The pairing-orthogonal of the decomposables must be the primitives."""
     structure = state.structure
-    dim = structure.algebra.dim(n)
-    dec = RationalMatrix.from_rows(structure.decomposables(n).basis_rows(), cols=dim)
-    orthogonal = kernel_basis(dec @ state.gram[n])
+    orthogonal = kernel_basis(structure.decomposables(n).basis @ state.gram[n])
     primitives = structure.primitives(n)
     return OrthogonalityCheck(
         degree=n,
@@ -372,21 +360,15 @@ class AdaptedBasis:
         edges = [0, c, c + m, c + m + s, c + m + s + w]
 
         def block(bi: int, bj: int) -> RationalMatrix:
-            return RationalMatrix.from_rows(
-                [
-                    [g.at(i, j) for j in range(edges[bj], edges[bj + 1])]
-                    for i in range(edges[bi], edges[bi + 1])
-                ],
-                cols=edges[bj + 1] - edges[bj],
-            )
+            lo, hi = edges[bj], edges[bj + 1]
+            rows = [g.int_row(i)[lo:hi] for i in range(edges[bi], edges[bi + 1])]
+            return RationalMatrix.from_int_rows(rows, hi - lo, g.den)
 
         zero_positions = [(0, 0), (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 3)]
         for bi, bj in zero_positions:
-            if any(block(bi, bj).entries) or any(block(bj, bi).entries):
+            if any(block(bi, bj).num) or any(block(bj, bi).num):
                 return False
-        if block(0, 3).to_rows() != RationalMatrix.identity(c).to_rows():
-            return False
-        if block(3, 0).to_rows() != RationalMatrix.identity(c).to_rows():
+        if block(0, 3) != RationalMatrix.identity(c) or block(3, 0) != RationalMatrix.identity(c):
             return False
         for bi in (1, 2):
             diag = block(bi, bi)
@@ -420,10 +402,8 @@ def adapt_complement(state: PairingState, n: int) -> AdaptedBasis:
     split = structure.decomposition(n)
     g = state.gram[n]
     dim = structure.algebra.dim(n)
-    core = RationalMatrix.from_rows(split.core.basis_rows(), cols=dim)
-    m_mat = RationalMatrix.from_rows(split.decomposable_complement.basis_rows(), cols=dim)
-    h_mat = RationalMatrix.from_rows(split.primitive_generators.basis_rows(), cols=dim)
-    w_mat = RationalMatrix.from_rows(split.residual.basis_rows(), cols=dim)
+    core, m_mat = split.core.basis, split.decomposable_complement.basis
+    h_mat, w_mat = split.primitive_generators.basis, split.residual.basis
     if core.rows:
         duality = core @ g @ w_mat.transpose()
         w_mat = duality.inverse().transpose() @ w_mat

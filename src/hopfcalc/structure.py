@@ -11,9 +11,8 @@ structure at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import RationalMatrix, Subspace, greedy_picks, integer_row, kernel_basis
+from .linalg import RationalMatrix, Subspace, greedy_picks, kernel_basis
 from .trees import ForestAlgebra, GradedVector
 
 
@@ -123,12 +122,12 @@ class HopfStructure:
             offsets[i] = total
             total += dims[i] * dims[n - i]
         cols = alg.dim(n)
-        entries = [[Fraction(0)] * cols for _ in range(total)]
+        entries = [0] * (total * cols)
         for col, column in enumerate(alg.reduced_table(n)):
             for i, terms in column.items():
                 for a, b, coeff in terms:
-                    entries[offsets[i] + a * dims[n - i] + b][col] = Fraction(coeff)
-        built = RationalMatrix.from_rows(entries, cols=cols)
+                    entries[(offsets[i] + a * dims[n - i] + b) * cols + col] = coeff
+        built = RationalMatrix(total, cols, tuple(entries))
         self._reduced[n] = built
         return built
 
@@ -203,15 +202,15 @@ class HopfStructure:
         dim = self.algebra.dim(n)
         prim = self.primitives(n)
         trees, multi = self._coordinates(n)
-        t, p_rows = len(trees), [integer_row(row) for row in prim.basis_rows()]
+        t, p_rows = len(trees), prim.basis.int_rows()
         on_trees = [[row[k] for k in trees] for row in p_rows]
         # each projection carries its row: dependent ones leave primitives zero on the trees
-        picks, rests = greedy_picks([proj + row for proj, row in zip(on_trees, p_rows)], t)
+        picks, rests = greedy_picks([proj + list(row) for proj, row in zip(on_trees, p_rows)], t)
         core = Subspace.span(dim, list(rests.values()))
         units = [[int(i == j) for j in range(t)] for i in range(t)]
         w_picks, _ = greedy_picks([on_trees[k] for k in picks] + units, t)
         w_part = [trees[k - len(picks)] for k in w_picks if k >= len(picks)]
-        on_multi = [integer_row([row[k] for k in multi]) for row in core.basis_rows()]
+        on_multi = [[row[k] for k in multi] for row in core.basis.int_rows()]
         on_multi += [[int(i == j) for j in range(len(multi))] for i in range(len(multi))]
         m_picks, _ = greedy_picks(on_multi, len(multi))
         m_part = [multi[k - core.dim] for k in m_picks if k >= core.dim]

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +17,7 @@ from hopfcalc.linalg import (
     kernel_basis,
     stack_rows,
 )
-from test_span_oracle import extend_independent
+from test_span_oracle import contains, extend_independent, full_space, zero_space
 
 M = RationalMatrix.from_rows
 
@@ -54,6 +57,52 @@ def test_matrix_validation():
         RationalMatrix(2, 2, (Fraction(1),))
     with pytest.raises(ValueError):
         M([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("den", [0, -3])
+def test_nonpositive_denominator_raises(den):
+    with pytest.raises(ValueError, match="denominator"):
+        RationalMatrix(1, 2, (1, 2), den)
+
+
+def test_wrong_entry_count_raises():
+    with pytest.raises(ValueError, match="needs 4 entries, got 3"):
+        RationalMatrix(2, 2, (1, 2, 3))
+    with pytest.raises(ValueError, match="needs 0 entries"):
+        RationalMatrix(0, 3, (1,), 2)
+
+
+def test_non_integer_numerators_raise():
+    with pytest.raises(ValueError, match="integers"):
+        RationalMatrix(1, 1, (Fraction(1, 2),))
+
+
+def test_construction_normalizes_to_lowest_terms():
+    m = RationalMatrix(1, 3, (2, 4, -6), 4)
+    assert (m.num, m.den) == ((1, 2, -3), 2)
+    assert m == M([[Fraction(1, 2), 1, Fraction(-3, 2)]])
+    assert RationalMatrix(2, 1, (0, 0), 5) == RationalMatrix.zeros(2, 1)
+    assert RationalMatrix.zeros(2, 1).den == 1
+    assert RationalMatrix(0, 0, (), 7).den == 1
+    assert M([[Fraction(2, 6), Fraction(4, 3)]]).den == 3
+
+
+def test_storage_invariants_hold_under_optimize():
+    script = (
+        "from hopfcalc.linalg import RationalMatrix as R\n"
+        "for args in ((1, 1, (1,), 0), (1, 1, (1,), -1), (2, 2, (1,))):\n"
+        "    try:\n"
+        "        R(*args)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'accepted {args}')\n"
+        "print(R(1, 2, (3, 6), 9).den)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "3\n"
 
 
 def test_matmul_and_apply():
@@ -113,11 +162,11 @@ def test_stack_rows():
 
 
 def test_kernel_examples():
-    assert kernel_basis(RationalMatrix.zeros(2, 2)) == Subspace.full(2)
-    assert kernel_basis(RationalMatrix.identity(3)) == Subspace.zero(3)
+    assert kernel_basis(RationalMatrix.zeros(2, 2)) == full_space(2)
+    assert kernel_basis(RationalMatrix.identity(3)) == zero_space(3)
     k = kernel_basis(M([[1, 1], [2, 2]]))
     assert k.dim == 1
-    assert k.contains([1, -1])
+    assert contains(k, [1, -1])
 
 
 def test_rank_nullity_randomized():
@@ -140,18 +189,18 @@ def test_subspace_canonical_equality():
     b = Subspace.span(3, [[1, 0, -1], [2, 3, 1]])
     assert a == b
     assert a.basis == b.basis
-    assert a.contains([1, 2, 1])
-    assert not a.contains([0, 0, 1])
+    assert contains(a, [1, 2, 1])
+    assert not contains(a, [0, 0, 1])
     with pytest.raises(AmbientMismatch):
         Subspace.span(3, [[1, 0]])
     with pytest.raises(AmbientMismatch):
-        a.contains([1, 0])
+        contains(a, [1, 0])
 
 
 def test_coordinate_subspace():
     assert Subspace.coordinate(4, [2, 0]) == Subspace.span(4, [[0, 0, 1, 0], [1, 0, 0, 0]])
-    assert Subspace.coordinate(3, []) == Subspace.zero(3)
-    assert Subspace.coordinate(2, [1, 0]) == Subspace.full(2)
+    assert Subspace.coordinate(3, []) == zero_space(3)
+    assert Subspace.coordinate(2, [1, 0]) == full_space(2)
     with pytest.raises(AmbientMismatch):
         Subspace.coordinate(2, [2])
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from hopfcalc.linalg import RationalMatrix, Subspace
 from hopfcalc.pairing import (
@@ -41,6 +44,12 @@ def test_gram_json_frozen(state):
     assert js["0"] == [["1"]]
     assert js["2"] == [["2", "1"], ["1", "3/4"]]
     assert set(js) == {"0", "1", "2", "3", "4", "5"}
+
+
+def test_gram_json_degree_5_digest(state):
+    # recorded from the Fraction implementation; the integer core must match it byte for byte
+    digest = hashlib.sha256(json.dumps(state.gram_json()).encode()).hexdigest()
+    assert digest == "c16a4c09af48db900d511c676cde14c9b7be4673928d351991f381e477cc4a1b"
 
 
 def test_verify_all_checks_pass(state):
@@ -248,3 +257,33 @@ def test_degree_zero_build():
     st = build_pairing(0)
     assert st.gram == {0: RationalMatrix.identity(1)}
     assert verify_hopf_pairing(st).passed
+
+
+RATIONALS = strategies.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@strategies.composite
+def base_forms(draw, sizes: dict[int, int]) -> dict[int, RationalMatrix]:
+    """Symmetric nondegenerate forms L D L^T with rational entries, at some degrees."""
+    forms = {}
+    for n in draw(strategies.sets(strategies.sampled_from(sorted(sizes)), min_size=1)):
+        k = sizes[n]
+        lower = [[draw(RATIONALS) if j < i else Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+        diag = [draw(RATIONALS.filter(bool)) for _ in range(k)]
+        forms[n] = RationalMatrix.from_rows(
+            [[sum(lower[i][t] * diag[t] * lower[j][t] for t in range(k)) for j in range(k)] for i in range(k)]
+        )
+    return forms
+
+
+@settings(deadline=None, max_examples=12)
+@given(base_forms({1: 1, 2: 1, 3: 1, 4: 3}))  # primitive-generator counts by degree
+def test_pairing_axioms_for_random_base_forms(forms):
+    built = build_pairing(4, base_form=forms)
+    assert verify_hopf_pairing(built).passed
+    for n in range(1, 5):
+        assert built.generator_block(n) == built.base_form[n]
+        assert check_primitive_orthogonality(built, n).passed
+        assert adapt_complement(built, n).block_pattern_ok()
+    for n, form in forms.items():
+        assert built.base_form[n] == form

@@ -8,7 +8,7 @@ from hopfcalc.linalg import Subspace, stack_rows
 from hopfcalc.series import SeriesProfile, p_from_r, s_from_r
 from hopfcalc.structure import FreenessError, HopfStructure
 from hopfcalc.trees import DecorationSet, ForestAlgebra, parse_forest
-from test_span_oracle import oracle_decomposition, span_ops
+from test_span_oracle import full_space, oracle_decomposition, span_ops
 
 TOP = 5
 
@@ -117,7 +117,7 @@ def test_decomposition_invariants(hs):
     _, s = expected_series(alg, TOP)
     for n in range(1, TOP + 1):
         split = hs.decomposition(n)
-        whole = Subspace.full(alg.dim(n))
+        whole = full_space(alg.dim(n))
         assert split.core == span_ops(split.primitives, split.decomposables).intersection
         assert direct_sum_holds(split.core, split.decomposable_complement, split.decomposables)
         assert direct_sum_holds(split.core, split.primitive_generators, split.primitives)
