@@ -42,7 +42,6 @@ from .trees import (
     DegreeZeroInput,
     Forest,
     ForestAlgebra,
-    GradedVector,
     Tree,
     parse_forest,
     parse_tree,
@@ -61,7 +60,6 @@ __all__ = [
     "Forest",
     "ForestAlgebra",
     "GateVerdict",
-    "GradedVector",
     "HopfStructure",
     "NonIntegerExponent",
     "PairingReport",

@@ -6,8 +6,10 @@ pairing a leading tree tensor the remainder against coproducts (strictly lower
 degrees), generators in the primitive-generator block pair through a
 caller-supplied symmetric base form and vanish everywhere else, and residual
 generators vanish on both generator blocks while their values on products are
-forced again.  Each degree therefore reduces to exact linear solves against
-the four-block basis from `structure`.
+forced again.  As the algebra is free on trees, the forced values fill every
+Gram row at a forest of two or more trees, and symmetry their transposes.
+Each degree therefore reduces to one exact solve for its tree x tree block,
+through the generators' square block on the tree coordinates.
 """
 
 from __future__ import annotations
@@ -27,18 +29,12 @@ class DegenerateBaseForm(ValueError):
 
 @dataclass
 class PairingState:
-    """Per-degree Gram matrices of the pairing over canonical forest bases.
-
-    generator_functionals[n] stacks, for each chosen generator (first the
-    primitive-generator block, then the residual block), the coordinates of
-    its pairing functional on the degree-n basis.
-    """
+    """Per-degree Gram matrices of the pairing over canonical forest bases."""
 
     structure: HopfStructure
     max_degree: int
     base_form: dict[int, RationalMatrix]
     gram: dict[int, RationalMatrix]
-    generator_functionals: dict[int, RationalMatrix]
 
     def generator_block(self, n: int) -> RationalMatrix:
         """Gram restricted to the primitive-generator basis of degree n."""
@@ -76,11 +72,6 @@ def _pair_terms(
     return sum(c * left_row[a] * right_row[b] for a, b, c in terms)
 
 
-def _row_block(m: RationalMatrix, lo: int, hi: int) -> RationalMatrix:
-    """Rows lo..hi of m."""
-    return RationalMatrix(hi - lo, m.cols, m.num[lo * m.cols : hi * m.cols], m.den)
-
-
 def _forced_products(state: PairingState, n: int) -> tuple[list[int], RationalMatrix]:
     """Forced values on the multi-tree basis forests of degree n.
 
@@ -109,34 +100,38 @@ def _forced_products(state: PairingState, n: int) -> tuple[list[int], RationalMa
 def _extend_degree(
     state: PairingState, n: int, split: DegreeDecomposition, form: RationalMatrix
 ) -> None:
-    dim = state.structure.algebra.dim(n)
-    # structure.decomposables guarantees its rows are the multi-tree unit
-    # vectors in basis order, and that core and complement rows live on them
+    """Solve the degree-n Gram on its tree x tree block alone.
+
+    The rows at the multi-tree forests are forced, and by symmetry so are the
+    tree rows at multi-tree columns: G0 is the Gram with those and a zero tree
+    block.  The generators H = [h; w] must pair as diag(form, 0).  On the tree
+    coordinates H is a square invertible Y, since core and complement rows
+    live on the multi-tree ones, so the tree block is
+    -Y^-1 (H G0 H^T - diag(form, 0)) Y^-T.  No other condition is needed: h
+    is primitive, so it vanishes on products, and w pairs with them as forced.
+    """
     multi, forced = _forced_products(state, n)
-    core, m_mat = split.core.basis, split.decomposable_complement.basis
-    h_mat, w_mat = split.primitive_generators.basis, split.residual.basis
-    b_inv = stack_rows([core, m_mat, h_mat, w_mat], cols=dim).inverse()
-    h_offset = core.rows + m_mat.rows
-
-    # a core or complement row x pairs as the sum of x[k] times forced row k
-    cm = stack_rows([core, m_mat], cols=dim)
-    cm_multi = RationalMatrix.from_int_rows(
-        [[row[k] for k in multi] for row in cm.int_rows()], len(multi), cm.den
-    )
-    parts = [cm_multi @ forced]
-    # primitive generator a pairs as form[a] on the generator block of the
-    # basis and vanishes on the rest: rows of b_inv's generator columns
-    parts.append(form @ _row_block(b_inv.transpose(), h_offset, h_offset + h_mat.rows))
-    if w_mat.rows:
-        conditions = stack_rows([split.decomposables.basis, h_mat, w_mat], cols=dim)
-        on_units = _row_block(conditions.inverse().transpose(), 0, len(multi))
-        # <w, t . rest> = <coproduct of w, t (x) rest> is forced row k times w,
-        # as the lower Grams are symmetric; w vanishes on both generator blocks
-        parts.append(w_mat @ forced.transpose() @ on_units)
-
-    functionals = stack_rows(parts, cols=dim)
-    state.gram[n] = b_inv @ functionals
-    state.generator_functionals[n] = _row_block(functionals, h_offset, dim)
+    dim = forced.cols
+    trees = sorted(set(range(dim)).difference(multi))
+    rows = [[0] * dim for _ in range(dim)]
+    for k, row in zip(multi, forced.int_rows()):
+        rows[k] = list(row)
+        for j in trees:
+            rows[j][k] = row[j]
+    g0 = RationalMatrix.from_int_rows(rows, dim, forced.den)
+    gens = stack_rows([split.primitive_generators.basis, split.residual.basis], cols=dim)
+    t, s = len(trees), form.rows
+    wanted = [list(row) + [0] * (t - s) for row in form.int_rows()] + [[0] * t] * (t - s)
+    excess = gens @ g0 @ gens.transpose() - RationalMatrix.from_int_rows(wanted, t, form.den)
+    y_inv = RationalMatrix.from_int_rows(
+        [[row[j] for j in trees] for row in gens.int_rows()], t, gens.den
+    ).inverse()
+    block = y_inv @ excess @ y_inv.transpose()
+    rows = [[0] * dim for _ in range(dim)]
+    for i, row in zip(trees, block.int_rows()):
+        for j, x in zip(trees, row):
+            rows[i][j] = x
+    state.gram[n] = g0 - RationalMatrix.from_int_rows(rows, dim, block.den)
 
 
 def build_pairing(
@@ -154,7 +149,6 @@ def build_pairing(
         max_degree=max_degree,
         base_form={},
         gram={0: RationalMatrix.identity(1)},
-        generator_functionals={},
     )
     for n in range(1, max_degree + 1):
         split = structure.decomposition(n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import RationalMatrix, Subspace, greedy_picks, kernel_basis
-from .trees import ForestAlgebra, GradedVector
+from .trees import ForestAlgebra
 
 
 class FreenessError(RuntimeError):
@@ -172,15 +172,26 @@ class HopfStructure:
         cached = self._brackets.get(n)
         if cached is None:
             alg = self.algebra
+            index = {f: k for k, f in enumerate(alg.basis(n))}
             rows = []
-            for i in range(1, n):
-                for x in self.primitives(i).basis_rows():
-                    gx = GradedVector(i, tuple(x))
-                    for y in self.primitives(n - i).basis_rows():
-                        gy = GradedVector(n - i, tuple(y))
-                        xy = alg.vector_product(gx, gy)
-                        yx = alg.vector_product(gy, gx)
-                        rows.append((xy - yx).coords)
+            # [y, x] = -[x, y], so the left degree runs up to n / 2 only
+            for i in range(1, n // 2 + 1):
+                left, right = alg.basis(i), alg.basis(n - i)
+                # index(f g) and index(g f) for basis forests f, g
+                cross = [[(index[f * g], index[g * f]) for g in right] for f in left]
+                xs, ys = (
+                    [[(a, c) for a, c in enumerate(row) if c] for row in prim.basis.int_rows()]
+                    for prim in (self.primitives(i), self.primitives(n - i))
+                )
+                for x_row in xs:
+                    for y_row in ys:
+                        v = [0] * len(index)
+                        for a, x in x_row:
+                            for b, y in y_row:
+                                xy, yx = cross[a][b]
+                                v[xy] += x * y
+                                v[yx] -= x * y
+                        rows.append(v)
             cached = Subspace.span(alg.dim(n), rows)
             self._brackets[n] = cached
         return cached

@@ -19,7 +19,6 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -151,34 +150,6 @@ def parse_forest(text: str) -> Forest:
     return Forest(tuple(trees))
 
 
-@dataclass(frozen=True)
-class GradedVector:
-    """Element of one graded component, coordinates over the canonical basis."""
-
-    degree: int
-    coords: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
-
-    def __add__(self, other: GradedVector) -> GradedVector:
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch {self.degree} != {other.degree}")
-        return GradedVector(self.degree, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: GradedVector) -> GradedVector:
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch {self.degree} != {other.degree}")
-        return GradedVector(self.degree, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, scalar: Fraction | int) -> GradedVector:
-        s = Fraction(scalar)
-        return GradedVector(self.degree, tuple(s * c for c in self.coords))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-
 CutTerm = tuple[tuple[Tree, ...], Tree]
 PairTerms = dict[tuple[Forest, Forest], int]
 TableColumn = dict[int, tuple[tuple[int, int, int], ...]]
@@ -260,26 +231,6 @@ class ForestAlgebra:
             return table[forest]
         except KeyError:
             raise ValueError(f"{forest.encode()!r} is not a degree-{n} basis forest") from None
-
-    def vector(self, forest: Forest) -> GradedVector:
-        n = self.degree(forest)
-        coords = [Fraction(0)] * self.dim(n)
-        coords[self.index(forest)] = Fraction(1)
-        return GradedVector(n, tuple(coords))
-
-    def vector_product(self, x: GradedVector, y: GradedVector) -> GradedVector:
-        """Bilinear extension of forest concatenation."""
-        n = x.degree + y.degree
-        coords = [Fraction(0)] * self.dim(n)
-        left = self.basis(x.degree)
-        right = self.basis(y.degree)
-        for i, a in enumerate(x.coords):
-            if not a:
-                continue
-            for j, b in enumerate(y.coords):
-                if b:
-                    coords[self.index(left[i] * right[j])] += a * b
-        return GradedVector(n, tuple(coords))
 
     # -- coproduct ------------------------------------------------------------
 

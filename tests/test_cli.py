@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -246,6 +247,15 @@ def test_pairing_caps(capsys, monkeypatch):
     monkeypatch.setenv("HOPF_CAP", "2")
     code, _, _ = run_cli(capsys, "pairing", "build", "--max-degree", "2")
     assert code == 0
+
+
+def test_pairing_build_degree_6_digest(capsys, monkeypatch):
+    # recorded from the four-block solve; the tree-block solve must match it byte for byte
+    monkeypatch.setenv("HOPF_CAP", "6")
+    code, out, _ = run_cli(capsys, "pairing", "build", "--max-degree", "6")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "b570971acb432a8461634f32ce816b3ab3ddef38bd77ec0f9916a044e80cb06e"
 
 
 def test_argparse_usage_error():

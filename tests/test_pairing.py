@@ -7,20 +7,78 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies
 
-from hopfcalc.linalg import RationalMatrix, Subspace
+from hopfcalc.linalg import RationalMatrix, Subspace, stack_rows
 from hopfcalc.pairing import (
     AdaptedBasis,
     DegenerateBaseForm,
+    PairingState,
+    _forced_products,
     adapt_complement,
     build_pairing,
     check_primitive_orthogonality,
     verify_hopf_pairing,
 )
-from hopfcalc.structure import HopfStructure
+from hopfcalc.structure import DegreeDecomposition, HopfStructure
 from hopfcalc.trees import DecorationSet, ForestAlgebra, parse_forest
 from test_span_oracle import span_ops
 
 TOP = 5
+
+
+def _row_block(m: RationalMatrix, lo: int, hi: int) -> RationalMatrix:
+    """Rows lo..hi of m."""
+    return RationalMatrix(hi - lo, m.cols, m.num[lo * m.cols : hi * m.cols], m.den)
+
+
+def oracle_extend_degree(
+    state: PairingState, n: int, split: DegreeDecomposition, form: RationalMatrix
+) -> None:
+    """The degree-n Gram solved against the whole four-block basis.
+
+    This is the construction the tree-block solve replaced: it inverts the
+    dense block basis B = [core; m; h; w] and the conditions matrix, and
+    reads the Gram as B^-1 times the functionals of the basis rows.
+    """
+    dim = state.structure.algebra.dim(n)
+    # structure.decomposables guarantees its rows are the multi-tree unit
+    # vectors in basis order, and that core and complement rows live on them
+    multi, forced = _forced_products(state, n)
+    core, m_mat = split.core.basis, split.decomposable_complement.basis
+    h_mat, w_mat = split.primitive_generators.basis, split.residual.basis
+    b_inv = stack_rows([core, m_mat, h_mat, w_mat], cols=dim).inverse()
+    h_offset = core.rows + m_mat.rows
+
+    # a core or complement row x pairs as the sum of x[k] times forced row k
+    cm = stack_rows([core, m_mat], cols=dim)
+    cm_multi = RationalMatrix.from_int_rows(
+        [[row[k] for k in multi] for row in cm.int_rows()], len(multi), cm.den
+    )
+    parts = [cm_multi @ forced]
+    # primitive generator a pairs as form[a] on the generator block of the
+    # basis and vanishes on the rest: rows of b_inv's generator columns
+    parts.append(form @ _row_block(b_inv.transpose(), h_offset, h_offset + h_mat.rows))
+    if w_mat.rows:
+        conditions = stack_rows([split.decomposables.basis, h_mat, w_mat], cols=dim)
+        on_units = _row_block(conditions.inverse().transpose(), 0, len(multi))
+        # <w, t . rest> = <coproduct of w, t (x) rest> is forced row k times w,
+        # as the lower Grams are symmetric; w vanishes on both generator blocks
+        parts.append(w_mat @ forced.transpose() @ on_units)
+
+    functionals = stack_rows(parts, cols=dim)
+    state.gram[n] = b_inv @ functionals
+
+
+def oracle_grams(built: PairingState) -> dict[int, RationalMatrix]:
+    """Grams of the oracle construction with the structure and base forms of built."""
+    state = PairingState(
+        structure=built.structure,
+        max_degree=built.max_degree,
+        base_form=dict(built.base_form),
+        gram={0: RationalMatrix.identity(1)},
+    )
+    for n in range(1, built.max_degree + 1):
+        oracle_extend_degree(state, n, built.structure.decomposition(n), built.base_form[n])
+    return state.gram
 
 
 @pytest.fixture(scope="module")
@@ -79,14 +137,10 @@ def test_restriction_equals_base_form(state):
 
 
 def test_generator_functionals_consistency(state):
-    alg = state.structure.algebra
     for n in range(1, TOP + 1):
         split = state.structure.decomposition(n)
         gens = split.primitive_generators.basis_rows() + split.residual.basis_rows()
-        funcs = state.generator_functionals[n]
-        assert funcs.rows == len(gens)
-        expected = RationalMatrix.from_rows(gens, cols=alg.dim(n)) @ state.gram[n]
-        assert funcs == expected
+        funcs = RationalMatrix.from_rows(gens, cols=state.structure.algebra.dim(n)) @ state.gram[n]
         # generator functionals vanish on the residual block, and the
         # primitive-generator ones vanish on the decomposables too
         for i in range(funcs.rows):
@@ -243,6 +297,16 @@ def test_determinism_across_builds(state):
         assert again.gram[n] == state.gram[n]
 
 
+@pytest.mark.parametrize(
+    "letters, top",
+    [((("a", 1),), 5), ((("a", 1), ("b", 2)), 5), ((("a", 1), ("b", 1)), 4)],
+    ids=["a1-d5", "a1b2-d5", "a1b1-d4"],
+)
+def test_grams_equal_oracle(letters, top):
+    built = build_pairing(top, structure=HopfStructure(ForestAlgebra(DecorationSet(letters))))
+    assert built.gram == oracle_grams(built)
+
+
 def test_two_decoration_pairing_smoke():
     structure = HopfStructure(ForestAlgebra(DecorationSet((("a", 1), ("b", 1)))))
     st = build_pairing(3, structure=structure)
@@ -287,3 +351,4 @@ def test_pairing_axioms_for_random_base_forms(forms):
         assert adapt_complement(built, n).block_pattern_ok()
     for n, form in forms.items():
         assert built.base_form[n] == form
+    assert built.gram == oracle_grams(built)

@@ -6,7 +6,8 @@ kernel of the stacked bases, complements by greedy extension.  The library
 now derives the blocks from freeness instead; these routines stay here so the
 tests can rebuild every block the general way and compare.  ``contains``,
 ``full_space`` and ``zero_space`` are the membership test and the two trivial
-subspaces, which only the tests use.
+subspaces, and ``unit`` the coordinates of one basis forest; only the tests
+use them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 
 from hopfcalc.linalg import AmbientMismatch, RationalMatrix, Subspace, kernel_basis
 from hopfcalc.structure import DegreeDecomposition, HopfStructure
+from hopfcalc.trees import Forest, ForestAlgebra
 
 
 def zero_space(ambient_dim: int) -> Subspace:
@@ -28,6 +30,13 @@ def zero_space(ambient_dim: int) -> Subspace:
 
 def full_space(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, RationalMatrix.identity(ambient_dim))
+
+
+def unit(alg: ForestAlgebra, forest: Forest) -> list[int]:
+    """Coordinates of a basis forest over the canonical basis of its degree."""
+    coords = [0] * alg.dim(alg.degree(forest))
+    coords[alg.index(forest)] = 1
+    return coords
 
 
 def contains(space: Subspace, vector: Sequence[Fraction | int]) -> bool:
@@ -133,7 +142,7 @@ def oracle_decomposition(structure: HopfStructure, n: int) -> DegreeDecompositio
     dec = Subspace.span(
         dim,
         [
-            alg.vector(f * g).coords
+            unit(alg, f * g)
             for i in range(1, n)
             for f in alg.basis(i)
             for g in alg.basis(n - i)

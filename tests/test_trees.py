@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,11 +13,11 @@ from hopfcalc.trees import (
     DegreeZeroInput,
     Forest,
     ForestAlgebra,
-    GradedVector,
     Tree,
     parse_forest,
     parse_tree,
 )
+from test_span_oracle import unit
 
 DOT = parse_forest("a[]")
 LADDER2 = parse_forest("a[a[]]")
@@ -139,15 +138,6 @@ def test_product_laws():
     assert alg.degree(b * c) == alg.degree(b) + alg.degree(c)
 
 
-def test_vector_product_matches_forest_product():
-    alg = ForestAlgebra()
-    x = alg.vector(LADDER2).scale(2) + alg.vector(TWO_DOTS)
-    y = alg.vector(DOT)
-    xy = alg.vector_product(x, y)
-    want = alg.vector(LADDER2 * DOT).scale(2) + alg.vector(TWO_DOTS * DOT)
-    assert xy == want
-
-
 # ---------------------------------------------------------------------------
 # coproduct
 
@@ -238,6 +228,16 @@ def coassociativity_holds(alg: ForestAlgebra, f: Forest) -> bool:
     return left == right
 
 
+def compatibility_holds(alg: ForestAlgebra, f: Forest, g: Forest) -> bool:
+    """The coproduct of f g is the product of the coproducts of f and g."""
+    composed: dict = {}
+    for (a, b), c in alg.coproduct_terms(f).items():
+        for (x, y), d in alg.coproduct_terms(g).items():
+            key = (a * x, b * y)
+            composed[key] = composed.get(key, 0) + c * d
+    return alg.coproduct_terms(f * g) == {k: v for k, v in composed.items() if v}
+
+
 def test_coassociativity_exhaustive_low_degree():
     alg = ForestAlgebra()
     for n in range(5):
@@ -251,14 +251,27 @@ def test_bialgebra_compatibility_low_degree():
         for j in range(1, 5 - i):
             for f in alg.basis(i):
                 for g in alg.basis(j):
-                    fg = f * g
-                    direct = alg.coproduct_terms(fg)
-                    composed: dict = {}
-                    for (a, b), c in alg.coproduct_terms(f).items():
-                        for (x, y), d in alg.coproduct_terms(g).items():
-                            key = (a * x, b * y)
-                            composed[key] = composed.get(key, Fraction(0)) + c * d
-                    assert direct == {k: v for k, v in composed.items() if v}
+                    assert compatibility_holds(alg, f, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(degrees=st.lists(st.integers(1, 3), min_size=2, max_size=3), data=st.data())
+def test_coassociativity_and_compatibility_random_decorations(degrees, data):
+    decorations = DecorationSet(tuple(zip("abc", degrees)))
+    # the forest count from the series keeps the enumeration small
+    r = r_from_d(SeriesProfile.make("D", decorations.degree_counts(6)))
+    small = [n for n in range(1, 7) if 0 < r.coeff(n) <= 300]
+    alg = ForestAlgebra(decorations)
+
+    def forest(n: int) -> Forest:
+        return data.draw(st.sampled_from(alg.basis(n)), label=f"degree-{n} forest")
+
+    n = data.draw(st.sampled_from(small), label="degree")
+    assert coassociativity_holds(alg, forest(n))
+    # the lowest letter degree is at most 3, so both draws have a choice
+    i = data.draw(st.sampled_from([m for m in small if m <= 3]), label="left degree")
+    j = data.draw(st.sampled_from([m for m in small if i + m <= 6]), label="right degree")
+    assert compatibility_holds(alg, forest(i), forest(j))
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +295,9 @@ def test_reduced_coproduct_examples():
 def test_reduced_matrix_is_linear():
     alg = ForestAlgebra()
     reduced = HopfStructure(alg).reduced_matrix(2)
-    x = alg.vector(LADDER2).scale(3) - alg.vector(TWO_DOTS)
-    assert reduced.apply(x.coords) == (1,)  # dot (x) dot: 3*1 - 2
-    assert reduced.apply(GradedVector(2, (0, 0)).coords) == (0,)
+    x = [3 * a - b for a, b in zip(unit(alg, LADDER2), unit(alg, TWO_DOTS))]
+    assert reduced.apply(x) == (1,)  # dot (x) dot: 3*1 - 2
+    assert reduced.apply([0, 0]) == (0,)
 
 
 @settings(max_examples=40, deadline=None)
@@ -324,10 +337,4 @@ def test_coassociativity_and_compatibility_random_degree_5_6():
         j = rng.randint(max(1, 5 - i), 6 - i)
         f = rng.choice(alg.basis(i))
         g = rng.choice(alg.basis(j))
-        direct = alg.coproduct_terms(f * g)
-        composed: dict = {}
-        for (a, b), c in alg.coproduct_terms(f).items():
-            for (x, y), d in alg.coproduct_terms(g).items():
-                key = (a * x, b * y)
-                composed[key] = composed.get(key, Fraction(0)) + c * d
-        assert direct == {k: v for k, v in composed.items() if v}
+        assert compatibility_holds(alg, f, g)
