@@ -298,7 +298,12 @@ class OrthogonalityCheck:
 def check_primitive_orthogonality(state: PairingState, n: int) -> OrthogonalityCheck:
     """The pairing-orthogonal of the decomposables must be the primitives."""
     structure = state.structure
-    orthogonal = kernel_basis(structure.decomposables(n).basis @ state.gram[n])
+    structure.decomposables(n)  # raises FreenessError unless they are the multi-tree coordinates
+    _, multi = structure._coordinates(n)
+    gram = state.gram[n]
+    # the decomposables' unit rows times the Gram are the Gram's rows at those coordinates
+    rows = RationalMatrix.from_int_rows([gram.int_row(i) for i in multi], gram.cols, gram.den)
+    orthogonal = kernel_basis(rows)
     primitives = structure.primitives(n)
     return OrthogonalityCheck(
         degree=n,

@@ -6,13 +6,14 @@ pinned down, at the level of dimensions, by any one of four integer sequences:
 * ``R``: dimensions of the graded pieces, as the series 1 + r_1 h + r_2 h^2 + ...
 * ``P``: dimensions of the primitive elements, P = 1 - 1/R
 * ``S``: dimensions of the indecomposable primitives, 1 - S = prod (1-h^n)^{p_n}
-* ``D``: decoration counts of the tree model, D = (R-1)/R^2, R = 2/(1+sqrt(1-4D))
+* ``D``: decoration counts of the tree model, D = 1/R - 1/R^2, so R = 1 + D R^2
 
-This module converts between the four profiles with exact rational arithmetic
-(truncated at a fixed order, no floats anywhere) and provides the two
-realizability gates built on those conversions.  A profile stores only the
-coefficients of h^1..h^N; the constant term is implied by the kind (1 for R,
-0 for P, S, D).
+This module converts between the four profiles exactly (truncated at a fixed
+order, no floats anywhere) and provides the two realizability gates built on
+those conversions.  A profile stores only the coefficients of h^1..h^N, as
+``Fraction``s; the constant term is implied by the kind (1 for R, 0 for P, S,
+D).  The recurrences run on plain ``int``s, and a ``Fraction`` appears only
+where a coefficient is not integral.
 """
 
 from __future__ import annotations
@@ -45,8 +46,13 @@ class SeriesProfile:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown series kind {self.kind!r}, expected one of {KINDS}")
+        if isinstance(self.order, bool) or not isinstance(self.order, int):
+            raise ValueError(f"order must be an int, got {self.order!r}")
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
+        for c in self.coeffs:
+            if isinstance(c, (float, bool)):
+                raise ValueError(f"coefficient {c!r} is not an int, Fraction or fraction string")
         coeffs = tuple(Fraction(c) for c in self.coeffs)
         if len(coeffs) != self.order:
             raise ValueError(f"expected {self.order} coefficients, got {len(coeffs)}")
@@ -54,7 +60,7 @@ class SeriesProfile:
 
     @classmethod
     def make(cls, kind: str, coeffs: Iterable[Coefficient]) -> SeriesProfile:
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(coeffs)
         return cls(kind, len(cs), cs)
 
     def coeff(self, n: int) -> Fraction:
@@ -80,9 +86,10 @@ class SeriesProfile:
                 return n
         return None
 
-    def as_dense(self) -> list[Fraction]:
-        """Coefficients indexed 0..order, constant term included."""
-        return [Fraction(_CONSTANT_TERM[self.kind]), *self.coeffs]
+    def as_dense(self) -> list[Union[int, Fraction]]:
+        """Coefficients indexed 0..order, constant term included; integral ones as ``int``."""
+        tail = (c.numerator if c.denominator == 1 else c for c in self.coeffs)
+        return [_CONSTANT_TERM[self.kind], *tail]
 
 
 @dataclass(frozen=True)
@@ -106,45 +113,29 @@ class GateVerdict:
 
 
 # ---------------------------------------------------------------------------
-# dense helpers: lists indexed by degree 0..N
+# dense helpers: lists indexed by degree 0..N, of ints or Fractions alike
 
 
-def _mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if not ai:
-            continue
-        top = min(order - i, len(b) - 1)
-        for j in range(top + 1):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return out
+def _mul(a: Sequence, b: Sequence, order: int) -> list:
+    # both of length > order
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(order + 1)]
 
 
-def _invert_unit(a: Sequence[Fraction], order: int) -> list[Fraction]:
-    # requires a[0] == 1; b_n = -sum_{k=1..n} a_k b_{n-k}
+def _invert_unit(a: Sequence, order: int) -> list:
+    # requires a[0] == 1 and len(a) > order; b_n = -sum_{k=1..n} a_k b_{n-k}
     if a[0] != 1:
         raise ValueError("can only invert a series with constant term 1")
-    b = [Fraction(1)] + [Fraction(0)] * order
+    b = [1] + [0] * order
     for n in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            ak = a[k] if k < len(a) else Fraction(0)
-            if ak:
-                acc += ak * b[n - k]
-        b[n] = -acc
+        b[n] = -sum(a[k] * b[n - k] for k in range(1, n + 1))
     return b
 
-def _sqrt_unit(a: Sequence[Fraction], order: int) -> list[Fraction]:
-    # branch with constant term +1; t_n = (a_n - sum_{1<=i<=n-1} t_i t_{n-i}) / 2
-    if a[0] != 1:
-        raise ValueError("can only take the square root of a series with constant term 1")
-    t = [Fraction(1)] + [Fraction(0)] * order
-    for n in range(1, order + 1):
-        an = a[n] if n < len(a) else Fraction(0)
-        acc = sum((t[i] * t[n - i] for i in range(1, n)), Fraction(0))
-        t[n] = (an - acc) / 2
-    return t
+
+def _exact(x, n: int):
+    """x / n, as an int when n divides the int x, else as a Fraction."""
+    if isinstance(x, int) and x % n == 0:
+        return x // n
+    return Fraction(x) / n
 
 
 def _divisor_sum(x: Sequence, m: int):
@@ -157,7 +148,7 @@ def _require_kind(series: SeriesProfile, kind: str, op: str) -> None:
         raise ValueError(f"{op} expects a {kind}-profile, got {series.kind}")
 
 
-def _profile(kind: str, dense: Sequence[Fraction], order: int) -> SeriesProfile:
+def _profile(kind: str, dense: Sequence, order: int) -> SeriesProfile:
     return SeriesProfile(kind, order, tuple(dense[1 : order + 1]))
 
 
@@ -169,13 +160,13 @@ def p_from_r(r: SeriesProfile) -> SeriesProfile:
     """Primitive dimensions from graded dimensions: P = 1 - 1/R."""
     _require_kind(r, "R", "p_from_r")
     inv = _invert_unit(r.as_dense(), r.order)
-    return _profile("P", [Fraction(0)] + [-c for c in inv[1:]], r.order)
+    return _profile("P", [0] + [-c for c in inv[1:]], r.order)
 
 
 def r_from_p(p: SeriesProfile) -> SeriesProfile:
     """Graded dimensions from primitive dimensions: R = 1/(1 - P)."""
     _require_kind(p, "P", "r_from_p")
-    one_minus = [Fraction(1)] + [-c for c in p.coeffs]
+    one_minus = [1] + [-c for c in p.as_dense()[1:]]
     return _profile("R", _invert_unit(one_minus, p.order), p.order)
 
 
@@ -199,7 +190,7 @@ def s_from_p(p: SeriesProfile) -> SeriesProfile:
         raise NonIntegerExponent(
             f"p_{bad} = {p.coeff(bad)} is not an integer, product exponents must be integers"
         )
-    exponents = [e.numerator for e in p.as_dense()]
+    exponents = p.as_dense()
     a = [0] + [_divisor_sum(exponents, m) for m in range(1, order + 1)]
     c = [1] + [0] * order
     for n in range(1, order + 1):
@@ -220,13 +211,13 @@ def p_from_s(s: SeriesProfile) -> SeriesProfile:
     """
     _require_kind(s, "S", "p_from_s")
     order = s.order
-    c = [Fraction(1)] + [-x for x in s.coeffs]
-    a = [Fraction(0)] * (order + 1)
-    p = [Fraction(0)] * (order + 1)
+    c = [1] + [-x for x in s.as_dense()[1:]]
+    a = [0] * (order + 1)
+    p = [0] * (order + 1)
     for n in range(1, order + 1):
         a[n] = -n * c[n] - sum(a[k] * c[n - k] for k in range(1, n))
         # p[n] is still 0 here, so the divisor sum covers d < n only
-        p[n] = (a[n] - _divisor_sum(p, n)) / n
+        p[n] = _exact(a[n] - _divisor_sum(p, n), n)
     return _profile("P", p, order)
 
 
@@ -239,28 +230,26 @@ def r_from_s(s: SeriesProfile) -> SeriesProfile:
 
 
 def d_from_r(r: SeriesProfile) -> SeriesProfile:
-    """Decoration counts of the tree model: D = (R - 1) / R^2."""
+    """Decoration counts of the tree model: D = (R - 1) / R^2 = 1/R - 1/R^2."""
     _require_kind(r, "R", "d_from_r")
-    order = r.order
-    dense = r.as_dense()
-    inv = _invert_unit(dense, order)
-    inv2 = _mul(inv, inv, order)
-    numer = [Fraction(0)] + dense[1:]
-    return _profile("D", _mul(numer, inv2, order), order)
+    inv = _invert_unit(r.as_dense(), r.order)
+    return _profile("D", [x - y for x, y in zip(inv, _mul(inv, inv, r.order))], r.order)
 
 
 def r_from_d(d: SeriesProfile) -> SeriesProfile:
-    """Graded dimensions from decoration counts: R = 2 / (1 + sqrt(1 - 4D)).
+    """Graded dimensions from decoration counts: solve R = 1 + D R^2 with R(0) = 1.
 
-    This branch is the one with R(0) = 1; it avoids dividing by the
-    zero-constant-term series D.
+    r_n = sum_{k=1..n} d_k q_{n-k} needs the square Q = R^2 only below degree
+    n, so Q is extended one degree at a time alongside R; nothing divides.
     """
     _require_kind(d, "D", "r_from_d")
-    order = d.order
-    radicand = [Fraction(1)] + [-4 * c for c in d.coeffs]
-    root = _sqrt_unit(radicand, order)
-    half = [(Fraction(1) + root[0]) / 2] + [c / 2 for c in root[1:]]
-    return _profile("R", _invert_unit(half, order), order)
+    order, dd = d.order, d.as_dense()
+    r = [1] + [0] * order
+    q = [1] + [0] * order
+    for n in range(1, order + 1):
+        r[n] = sum(dd[k] * q[n - k] for k in range(1, n + 1))
+        q[n] = sum(r[i] * r[n - i] for i in range(n + 1))
+    return _profile("R", r, order)
 
 
 def convert(series: SeriesProfile, to_kind: str) -> SeriesProfile:

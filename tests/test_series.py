@@ -4,11 +4,14 @@ Every derived expectation is computed here by an oracle that shares no code
 with the library: geometric-series inversion, the printed low-degree
 polynomials, naive integer polynomial products, the explicit product
 prod (1-h^n)^{p_n} from binomial series, the stepwise inversion of that
-product, and the closed-form free Lie algebra dimension count.
+product, the closed-form free Lie algebra dimension count, and the square-root
+route R = 2/(1 + sqrt(1 - 4D)) for r_from_d.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from hopfcalc import series
 from hopfcalc.series import (
+    KINDS,
     GateVerdict,
     NonIntegerExponent,
     SeriesProfile,
@@ -99,6 +103,23 @@ def geometric_inverse(r: list[int | Fraction], order: int) -> list[Fraction]:
         power = poly_mul(power, tail, order)
         total = [x + y for x, y in zip(total, power)]
     return total
+
+
+def sqrt_unit(a: list[Fraction], order: int) -> list[Fraction]:
+    """Square root with constant term 1: t_n = (a_n - sum_{0<i<n} t_i t_{n-i}) / 2."""
+    assert a[0] == 1
+    t = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(1, order + 1):
+        t[n] = (a[n] - sum((t[i] * t[n - i] for i in range(1, n)), Fraction(0))) / 2
+    assert poly_mul(t, t, order) == a[: order + 1]
+    return t
+
+
+def r_from_d_by_root(d: list[int | Fraction], order: int) -> list[Fraction]:
+    """R = 2 / (1 + sqrt(1 - 4D)), the branch with R(0) = 1, all in Fractions."""
+    root = sqrt_unit([Fraction(1)] + [-4 * Fraction(c) for c in d[:order]], order)
+    half = [(1 + root[0]) / 2] + [c / 2 for c in root[1:]]
+    return geometric_inverse(half[1:], order)[1:]
 
 
 def printed_p2(r1, r2):
@@ -320,6 +341,14 @@ def test_p_from_s_examples_and_flag():
     assert p_from_s_stepwise(P("S", [Fraction(1, 2), 0, 0])) == flagged
 
 
+def test_p_from_s_flags_inexact_integer_division(monkeypatch):
+    # without the divisor sum p_n = a_n / n, and a_2 = 1 for s = (1, 0, 0)
+    monkeypatch.setattr(series, "_divisor_sum", lambda x, m: 0)
+    got = p_from_s(P("S", [1, 0, 0]))
+    assert got.first_nonintegral() == 2
+    assert got.coeff(2) == Fraction(1, 2)
+
+
 def test_p_from_s_integer_inputs_stay_integral():
     rng = random.Random(59)
     for _ in range(60):
@@ -431,6 +460,25 @@ def test_r_from_d_examples():
     assert catalan_recursion(3, copies=2) == [2, 8, 40]
 
 
+coefficient_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=16) | st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=5), min_size=1, max_size=16
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_lists)
+def test_r_from_d_matches_square_root_oracle(coeffs):
+    got = r_from_d(P("D", coeffs))
+    assert list(got.coeffs) == r_from_d_by_root(coeffs, len(coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_lists)
+def test_d_from_r_matches_functional_equation_on_random_input(coeffs):
+    got = d_from_r(P("R", coeffs))
+    assert list(got.coeffs) == functional_equation_d(coeffs, len(coeffs))
+
+
 def test_d_r_round_trip():
     rng = random.Random(43)
     for _ in range(30):
@@ -455,6 +503,14 @@ def test_r_x_r_round_trip_on_random_integer_series(coeffs, kind):
 
 # ---------------------------------------------------------------------------
 # integrality
+
+
+def test_invert_unit_stays_in_int_on_integer_input():
+    rng = random.Random(67)
+    r = P("R", [rng.randint(-9, 9) * math.factorial(n) for n in range(1, 41)])
+    dense = r.as_dense()
+    assert {type(x) for x in dense} == {int}
+    assert {type(x) for x in series._invert_unit(dense, 40)} == {int}
 
 
 def test_integer_inputs_give_integer_outputs():
@@ -527,6 +583,17 @@ def test_profile_validation():
     assert P("R", [1, 2, 3]).truncate(2) == P("R", [1, 2])
 
 
+def test_profile_rejects_float_and_bool():
+    for bad in ([0.1], [True], [1, False], [Fraction(1, 2), 2.0]):
+        with pytest.raises(ValueError):
+            P("R", bad)
+        with pytest.raises(ValueError):
+            SeriesProfile("R", len(bad), tuple(bad))
+    with pytest.raises(ValueError):
+        SeriesProfile("R", True, (Fraction(1),))
+    assert P("R", [1, Fraction(1, 2), "-3/4"]).coeffs == (1, Fraction(1, 2), Fraction(-3, 4))
+
+
 def test_kind_checks():
     with pytest.raises(ValueError):
         p_from_r(P("P", [1]))
@@ -546,3 +613,20 @@ def test_json_rejects_malformed_input():
     for bad in ("not json", "[]", '{"kind": "R"}', '{"kind": "R", "order": 1, "coeffs": ["x"]}'):
         with pytest.raises(ValueError):
             series_from_json(bad)
+
+
+def test_order_200_conversions_are_pinned():
+    # one small-integer and one factorial-size input for each of the 12 kind
+    # pairs; the digest was recorded with the all-Fraction conversions
+    rng = random.Random(2010)
+    lines = []
+    for a in KINDS:
+        for b in KINDS:
+            if a == b:
+                continue
+            small = [rng.randint(-3, 3) for _ in range(200)]
+            big = [rng.randint(-9, 9) * math.factorial(n) for n in range(1, 201)]
+            for coeffs in (small, big):
+                lines.append(series_to_json(convert(P(a, coeffs), b)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0fa6ea92af9bdba4fc2fe442f126af77147f88ed4de8bae49bc2d6dc332207df"
