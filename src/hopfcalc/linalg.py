@@ -12,10 +12,10 @@ cross-multiplication, and trimmed by their gcd after each step.  It picks
 rows greedily (``greedy_picks``), gives the rank, and carries the scale each
 row picks up, from which ``det`` follows.  A back-substitution over its pivot
 rows gives the canonical reduced row-echelon form behind ``rref``,
-``inverse``, ``kernel_basis`` and ``Subspace.span``.  Pivots are the leftmost
-columns; since reduced row-echelon form is unique for a given row space,
-every Subspace stores a canonical basis and subspace equality is value
-equality.
+``inverse``, ``kernel_basis`` and ``Subspace.span``; the kernel takes one
+echelon, on the columns in reverse order.  Pivots are the leftmost columns;
+since reduced row-echelon form is unique for a given row space, every
+Subspace stores a canonical basis and subspace equality is value equality.
 """
 
 from __future__ import annotations
@@ -339,17 +339,21 @@ class Subspace:
 
 
 def kernel_basis(m: RationalMatrix) -> Subspace:
-    """Canonical basis of the right kernel { x : m x = 0 }."""
-    reduced, pivots = m.rref()
-    pivot_set = set(pivots)
+    """Canonical basis of the right kernel { x : m x = 0 }.
+
+    One echelon on the columns in reverse order: read back in the original
+    order, each free column's vector leads at that column and is zero at every
+    other free column, which is already the kernel's reduced row-echelon form.
+    """
+    n = m.cols
+    reduced, pivots = _rref((row[::-1] for row in m.int_rows()), n)
+    rows = reduced.int_rows()
     vectors = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        # x_f = 1 and x_p = -reduced[i][f] at the pivot p of each row i, times den
-        v = [0] * m.cols
+    for f in sorted(set(range(n)) - set(pivots), reverse=True):
+        # x_f = 1 and x_p = -reduced[i][f] at the pivot p of each row i, times den, reversed
+        v = [0] * n
         v[f] = reduced.den
-        for p, row in zip(pivots, reduced.int_rows()):
+        for p, row in zip(pivots, rows):
             v[p] = -row[f]
-        vectors.append(v)
-    return Subspace(m.cols, _rref(vectors, m.cols)[0])
+        vectors.append(v[::-1])
+    return Subspace(n, RationalMatrix.from_int_rows(vectors, n, reduced.den))

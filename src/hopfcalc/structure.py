@@ -96,7 +96,6 @@ class HopfStructure:
 
     def __init__(self, algebra: ForestAlgebra | None = None) -> None:
         self.algebra = algebra if algebra is not None else ForestAlgebra()
-        self._reduced: dict[int, RationalMatrix] = {}
         self._primitives: dict[int, Subspace] = {}
         self._decomposables: dict[int, Subspace] = {}
         self._brackets: dict[int, Subspace] = {}
@@ -111,9 +110,6 @@ class HopfStructure:
         """
         if n < 1:
             raise ValueError("reduced coproduct matrix needs degree >= 1")
-        cached = self._reduced.get(n)
-        if cached is not None:
-            return cached
         alg = self.algebra
         dims = [alg.dim(i) for i in range(n)]
         offsets = {}
@@ -127,9 +123,7 @@ class HopfStructure:
             for i, terms in column.items():
                 for a, b, coeff in terms:
                     entries[(offsets[i] + a * dims[n - i] + b) * cols + col] = coeff
-        built = RationalMatrix(total, cols, tuple(entries))
-        self._reduced[n] = built
-        return built
+        return RationalMatrix(total, cols, tuple(entries))
 
     def primitives(self, n: int) -> Subspace:
         """Kernel of the reduced coproduct on degree n."""
@@ -225,13 +219,15 @@ class HopfStructure:
         on_multi += [[int(i == j) for j in range(len(multi))] for i in range(len(multi))]
         m_picks, _ = greedy_picks(on_multi, len(multi))
         m_part = [multi[k - core.dim] for k in m_picks if k >= core.dim]
+        # rows picked from a reduced row-echelon basis are reduced already
+        generators = RationalMatrix.from_int_rows([p_rows[k] for k in picks], dim, prim.basis.den)
         built = DegreeDecomposition(
             degree=n,
             primitives=prim,
             decomposables=self.decomposables(n),
             core=core,
             decomposable_complement=Subspace.coordinate(dim, m_part),
-            primitive_generators=Subspace.span(dim, [p_rows[k] for k in picks]),
+            primitive_generators=Subspace(dim, generators),
             residual=Subspace.coordinate(dim, w_part),
         )
         self._decompositions[n] = built

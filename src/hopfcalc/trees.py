@@ -36,20 +36,19 @@ class DecorationSet:
     entries: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        for _, degree in self.entries:
-            if isinstance(degree, bool) or not isinstance(degree, int):
-                raise ValueError(f"decoration degree {degree!r} is not an integer")
-        entries = tuple((str(label), degree) for label, degree in self.entries)
+        entries = tuple((label, degree) for label, degree in self.entries)
         if not entries:
             raise ValueError("decoration set must not be empty")
+        for label, degree in entries:
+            if not isinstance(label, str) or not _LABEL_RE.match(label):
+                raise ValueError(f"bad decoration label {label!r} (word characters only)")
+            if isinstance(degree, bool) or not isinstance(degree, int):
+                raise ValueError(f"decoration degree {degree!r} is not an integer")
+            if degree < 1:
+                raise ValueError(f"decoration {label!r} has degree {degree}, must be >= 1")
         labels = [label for label, _ in entries]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate decoration labels in {labels}")
-        for label, degree in entries:
-            if not _LABEL_RE.match(label):
-                raise ValueError(f"bad decoration label {label!r} (word characters only)")
-            if degree < 1:
-                raise ValueError(f"decoration {label!r} has degree {degree}, must be >= 1")
         object.__setattr__(self, "entries", entries)
 
     @classmethod

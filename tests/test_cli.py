@@ -179,6 +179,15 @@ def test_nck_rejects_non_integer_degree(tmp_path, capsys, monkeypatch, degree):
     code, out, err = run_cli(capsys, "nck", "dims", "--max-degree", "2", "--decorations", path)
     assert (code, out) == (2, "") and "degree" in err
 
+
+@pytest.mark.parametrize("label", ["null", "true", '["a"]'])
+def test_nck_rejects_non_string_label(tmp_path, capsys, monkeypatch, label):
+    monkeypatch.delenv("HOPF_CAP", raising=False)
+    path = write(tmp_path, "dec.json", f'[{{"label": {label}, "degree": 1}}]')
+    code, out, err = run_cli(capsys, "nck", "dims", "--max-degree", "2", "--decorations", path)
+    assert (code, out) == (2, "") and "label" in err
+
+
 def test_nck_verify(capsys, monkeypatch):
     monkeypatch.delenv("HOPF_CAP", raising=False)
     code, out, _ = run_cli(capsys, "nck", "verify", "--max-degree", "4")

@@ -4,8 +4,11 @@
 its integer echelon: ``_rref`` clears each row to integers and eliminates by
 cross-multiplication in a leftmost-column Gauss-Jordan sweep, and
 ``_bareiss_det`` is Bareiss's fraction-free determinant with exact division
-by the previous pivot.  The properties below hold the library's one echelon
-(``rref``, ``det``, ``inverse``, ``Subspace.span``) against them.
+by the previous pivot.  ``_kernel`` is the kernel the library took before it
+read the canonical basis off one echelon on the reversed columns: a forward
+``_rref``, one vector per free column, and a second ``_rref`` of those.  The
+properties below hold the library's one echelon (``rref``, ``det``,
+``inverse``, ``Subspace.span``, ``kernel_basis``) against them.
 """
 
 from __future__ import annotations
@@ -15,10 +18,12 @@ from math import gcd, lcm
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfcalc.linalg import RationalMatrix, Subspace
+from hopfcalc.linalg import RationalMatrix, Subspace, kernel_basis
+from hopfcalc.structure import HopfStructure
+from hopfcalc.trees import DecorationSet, ForestAlgebra
 
 
 def integer_row(row: Sequence[Fraction]) -> list[int]:
@@ -58,6 +63,21 @@ def _rref(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], 
         pval = work[r][col]
         reduced.append([Fraction(v, pval) for v in work[r]])
     return reduced, pivots
+
+
+def _kernel(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
+    """Canonical basis of the right kernel: x_f = 1 at a free column f, solved at the pivots."""
+    reduced, pivots = _rref(rows, cols)
+    vectors = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for p, row in zip(pivots, reduced):
+            v[p] = -row[f]
+        vectors.append(v)
+    return _rref(vectors, cols)[0]
 
 
 def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
@@ -128,6 +148,27 @@ def test_rref_equals_oracle(m):
     assert m.rref() == oracle_rref(m)
     assert m.rank() == len(oracle_rref(m)[1])
     assert Subspace.span(m.cols, m.to_rows()).basis == oracle_rref(m)[0]
+
+
+def assert_kernel_equals_oracle(m: RationalMatrix) -> None:
+    k = kernel_basis(m)
+    assert k.basis == RationalMatrix.from_rows(_kernel(m.to_rows(), m.cols), cols=m.cols)
+    assert m @ k.basis.transpose() == RationalMatrix.zeros(m.rows, k.dim)
+    assert k.dim == m.cols - len(oracle_rref(m)[1])
+
+
+@settings(deadline=None, max_examples=120)
+@given(matrices(max_size=7))
+@example(RationalMatrix.zeros(0, 0))
+def test_kernel_basis_equals_oracle(m):
+    assert_kernel_equals_oracle(m)
+
+
+@pytest.mark.parametrize("letters, top", [((("a", 1),), 6), ((("a", 1), ("b", 2)), 5)], ids=["a1", "a1b2"])
+def test_primitive_kernels_equal_oracle(letters, top):
+    structure = HopfStructure(ForestAlgebra(DecorationSet(letters)))
+    for n in range(1, top + 1):
+        assert_kernel_equals_oracle(structure.reduced_matrix(n))
 
 
 @settings(deadline=None, max_examples=60)
