@@ -54,7 +54,7 @@ def _read_text(path: str) -> str:
             return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
 
 

@@ -8,14 +8,14 @@ Products, differences, transposes and symmetry checks run in ``int``;
 
 Every elimination goes through one fraction-free echelon, ``_echelon``:
 integer rows are reduced in turn against the pivot rows found so far, by
-cross-multiplication, and trimmed by their gcd after each step.  It picks
-rows greedily (``greedy_picks``), gives the rank, and carries the scale each
-row picks up, from which ``det`` follows.  A back-substitution over its pivot
-rows gives the canonical reduced row-echelon form behind ``rref``,
-``inverse``, ``kernel_basis`` and ``Subspace.span``; the kernel takes one
-echelon, on the columns in reverse order.  Pivots are the leftmost columns;
-since reduced row-echelon form is unique for a given row space, every
-Subspace stores a canonical basis and subspace equality is value equality.
+cross-multiplication, and trimmed by their gcd after each step.  It gives the
+rank, and carries the scale each row picks up, from which ``det`` follows.
+A back-substitution over its pivot rows gives the canonical reduced
+row-echelon form behind ``rref``, ``inverse``, ``kernel_basis`` and
+``Subspace.span``; the kernel takes one echelon, on the columns in reverse
+order.  Pivots are the leftmost columns; since reduced row-echelon form is
+unique for a given row space, every Subspace stores a canonical basis and
+subspace equality is value equality.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ class RationalMatrix:
         if self.rows != self.cols:
             raise NotSquare(f"determinant of a {self.rows}x{self.cols} matrix")
         n = self.rows
-        pivots, _, _, (grown, trimmed) = _echelon(self.int_rows(), n)
+        pivots, _, (grown, trimmed) = _echelon(self.int_rows(), n)
         if len(pivots) < n:
             return Fraction(0)
         # the picked rows, reordered by leading column, are triangular
@@ -205,7 +205,7 @@ def stack_rows(matrices: Iterable[RationalMatrix], cols: Optional[int] = None) -
 
 def _echelon(
     rows: Iterable[Sequence[int]], width: int
-) -> tuple[dict[int, list[int]], list[int], dict[int, list[int]], tuple[int, int]]:
+) -> tuple[dict[int, list[int]], list[int], tuple[int, int]]:
     """Fraction-free row echelon of integer rows by their first ``width`` entries.
 
     Each row in turn is reduced against the pivot rows found so far, by
@@ -215,14 +215,12 @@ def _echelon(
 
     * the pivot rows by leading column, in the order they were picked;
     * the indices of the picked rows;
-    * for each row not picked, its entries past ``width`` after reduction;
     * (grown, trimmed): the product over the picked rows of the factor the
       reduction multiplied each by is grown / trimmed.
     """
     pivots: dict[int, list[int]] = {}
     leads: list[int] = []  # sorted
     picks: list[int] = []
-    rests: dict[int, list[int]] = {}
     grown = trimmed = 1
     for k, row in enumerate(rows):
         v = list(row)
@@ -240,14 +238,12 @@ def _echelon(
                 h = gcd(up, down)
                 up, down = up // h, down // h
         lead = next((j for j in range(width) if v[j]), None)
-        if lead is None:
-            rests[k] = v[width:]
-        else:
+        if lead is not None:
             picks.append(k)
             pivots[lead] = v
             insort(leads, lead)
             grown, trimmed = grown * up, trimmed * down
-    return pivots, picks, rests, (grown, trimmed)
+    return pivots, picks, (grown, trimmed)
 
 
 def _back_substitute(pivots: dict[int, list[int]]) -> list[tuple[int, list[int]]]:
@@ -279,20 +275,6 @@ def _rref(rows: Iterable[Sequence[int]], cols: int) -> tuple[RationalMatrix, tup
     """Canonical reduced row-echelon form of integer rows, and its pivot columns."""
     reduced = _back_substitute(_echelon(rows, cols)[0])
     return _normalized(reduced, 0, cols), tuple(col for col, _ in reduced)
-
-
-def greedy_picks(rows: Sequence[Sequence[int]], width: int) -> tuple[list[int], dict[int, list[int]]]:
-    """Greedy picks of integer rows by their first ``width`` entries.
-
-    Row k is picked when its first ``width`` entries leave the span of those
-    of the earlier picks, so earlier rows win: the deterministic complement
-    rule.  Entries past ``width`` ride along through the elimination: for
-    each row k not picked, the second result maps k to those entries of a
-    combination of rows[k] (coefficient nonzero) and earlier rows whose first
-    ``width`` entries vanish.
-    """
-    _, picks, rests, _ = _echelon(rows, width)
-    return picks, rests
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import RationalMatrix, Subspace, greedy_picks, kernel_basis
+from .linalg import RationalMatrix, Subspace, _echelon, kernel_basis
 from .trees import ForestAlgebra
 
 
@@ -193,11 +193,9 @@ class HopfStructure:
     def decomposition(self, n: int) -> DegreeDecomposition:
         """Split degree n into core, two complements, and the residual block.
 
-        Complements are picked deterministically: canonical echelon basis rows
-        of the enclosing space extend the core, and canonical unit vectors (in
-        basis order) extend everything else to the full degree.  As the
-        decomposables are the multi-tree coordinates, the core is the primitives
-        vanishing on the single trees, and the other picks are made on the trees.
+        One echelon of the primitive rows on the trees, then the multi-tree forests, each
+        last-first: rows led on a tree are the generators, the other rows span the core, and
+        the coordinates where no row leads are the residual and decomposable complement.
         """
         if n < 1:
             raise ValueError("decomposition is graded by degree >= 1")
@@ -207,28 +205,27 @@ class HopfStructure:
         dim = self.algebra.dim(n)
         prim = self.primitives(n)
         trees, multi = self._coordinates(n)
-        t, p_rows = len(trees), prim.basis.int_rows()
-        on_trees = [[row[k] for k in trees] for row in p_rows]
-        # each projection carries its row: dependent ones leave primitives zero on the trees
-        picks, rests = greedy_picks([proj + list(row) for proj, row in zip(on_trees, p_rows)], t)
-        core = Subspace.span(dim, list(rests.values()))
-        units = [[int(i == j) for j in range(t)] for i in range(t)]
-        w_picks, _ = greedy_picks([on_trees[k] for k in picks] + units, t)
-        w_part = [trees[k - len(picks)] for k in w_picks if k >= len(picks)]
-        on_multi = [[row[k] for k in multi] for row in core.basis.int_rows()]
-        on_multi += [[int(i == j) for j in range(len(multi))] for i in range(len(multi))]
-        m_picks, _ = greedy_picks(on_multi, len(multi))
-        m_part = [multi[k - core.dim] for k in m_picks if k >= core.dim]
-        # rows picked from a reduced row-echelon basis are reduced already
-        generators = RationalMatrix.from_int_rows([p_rows[k] for k in picks], dim, prim.basis.den)
+        order = trees[::-1] + multi[::-1]
+        p_rows = prim.basis.int_rows()
+        pivots, picks, _ = _echelon(([row[c] for c in order] for row in p_rows), dim)
+        t = len(trees)
+        # a primitive row keeps a tree lead iff its tree part leaves the span of the earlier
+        # ones; the other pivot rows vanish on the trees and span primitives ∩ decomposables
+        generators = [p_rows[k] for k, lead in zip(picks, pivots) if lead < t]
+        position = {c: j for j, c in enumerate(order)}
+        core = [[v[position[c]] for c in range(dim)] for lead, v in pivots.items() if lead >= t]
+        # a greedy pass over unit vectors in basis order keeps exactly the unled coordinates
+        led = {order[lead] for lead in pivots}
         built = DegreeDecomposition(
             degree=n,
             primitives=prim,
             decomposables=self.decomposables(n),
-            core=core,
-            decomposable_complement=Subspace.coordinate(dim, m_part),
-            primitive_generators=Subspace(dim, generators),
-            residual=Subspace.coordinate(dim, w_part),
+            core=Subspace.span(dim, core),
+            decomposable_complement=Subspace.coordinate(dim, set(multi) - led),
+            primitive_generators=Subspace(
+                dim, RationalMatrix.from_int_rows(generators, dim, prim.basis.den)
+            ),
+            residual=Subspace.coordinate(dim, set(trees) - led),
         )
         self._decompositions[n] = built
         return built

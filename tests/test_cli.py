@@ -96,6 +96,25 @@ def test_convert_parse_failures(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "--from", "r", "--to", "s", "--input", "{path}"],
+        ["gate", "--which", "nck", "--input", "{path}"],
+        ["nck", "dims", "--max-degree", "2", "--decorations", "{path}"],
+        ["convert", "--from", "r", "--to", "s", "--input", "-"],
+    ],
+    ids=["convert", "gate", "nck-decorations", "stdin"],
+)
+def test_non_utf8_input_is_a_parse_failure(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.delenv("HOPF_CAP", raising=False)
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
     "payload",
     [
         '{"kind": "R", "order": 2, "coeffs": ["1", 0.1]}',

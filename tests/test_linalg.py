@@ -13,11 +13,10 @@ from hopfcalc.linalg import (
     NotSquare,
     RationalMatrix,
     Subspace,
-    greedy_picks,
     kernel_basis,
     stack_rows,
 )
-from test_span_oracle import contains, extend_independent, full_space, zero_space
+from test_span_oracle import contains, full_space, zero_space
 
 M = RationalMatrix.from_rows
 
@@ -203,31 +202,6 @@ def test_coordinate_subspace():
     assert Subspace.coordinate(2, [1, 0]) == full_space(2)
     with pytest.raises(AmbientMismatch):
         Subspace.coordinate(2, [2])
-
-
-def test_greedy_picks_examples():
-    picks, rests = greedy_picks([[1, 0, 0], [1, 1, 0], [0, 1, 0], [2, 2, 0], [0, 0, 1]], 3)
-    assert picks == [0, 1, 4]
-    assert rests == {2: [], 3: []}
-    assert greedy_picks([], 2) == ([], {})
-    # entries past the width ride along: (2, 4 | 11) - 2·(1, 2 | 5) = (0, 0 | 1)
-    assert greedy_picks([[1, 2, 5], [2, 4, 11]], 2) == ([0], {1: [1]})
-
-
-def test_greedy_picks_match_extend_independent_randomized():
-    rng = random.Random(13)
-    for _ in range(60):
-        width = rng.randint(1, 6)
-        count = rng.randint(0, 9)
-        rows = [[rng.randint(-2, 2) * rng.randint(0, 1) for _ in range(width)] for _ in range(count)]
-        # carrying the identity turns each leftover into the relation it came from
-        augmented = [row + [int(i == k) for i in range(count)] for k, row in enumerate(rows)]
-        picks, rests = greedy_picks(augmented, width)
-        assert [rows[k] for k in picks] == extend_independent([], rows, width)
-        assert sorted(picks + list(rests)) == list(range(count))
-        for k, c in rests.items():
-            assert c[k] != 0 and not any(c[k + 1 :])
-            assert all(sum(ci * row[j] for ci, row in zip(c, rows)) == 0 for j in range(width))
 
 
 def test_matrix_subtraction():

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import pytest
 
-from hopfcalc.linalg import AmbientMismatch, RationalMatrix, Subspace, kernel_basis
+from hopfcalc.linalg import AmbientMismatch, RationalMatrix, Subspace, _echelon, kernel_basis
 from hopfcalc.structure import DegreeDecomposition, HopfStructure
 from hopfcalc.trees import Forest, ForestAlgebra
 
@@ -201,3 +201,36 @@ def test_span_ops_modularity_and_complement_randomized():
 def test_extend_independent_prefers_early_candidates():
     kept = extend_independent([[1, 0, 0]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3)
     assert kept == [[1, 1, 0], [0, 0, 1]]  # second candidate no longer enlarges
+
+
+def test_echelon_reading_rule_matches_extend_independent_randomized():
+    """The rule HopfStructure.decomposition reads its blocks by, on random rows.
+
+    Columns run over the head coordinates, then the tail ones, each last-first.
+    Rows picked with a head lead are those whose head part enlarges the earlier
+    rows' head parts; the other picks vanish on the head; and in each part the
+    coordinates no pick leads at are the unit vectors a greedy pass keeps.
+    """
+    rng = random.Random(13)
+    for _ in range(300):
+        width = rng.randint(1, 7)
+        rows = [
+            [rng.randint(-2, 2) * rng.randint(0, 1) for _ in range(width)]
+            for _ in range(rng.randint(0, 8))
+        ]
+        head = sorted(rng.sample(range(width), rng.randint(0, width)))
+        tail = [c for c in range(width) if c not in head]
+        h, order = len(head), head[::-1] + tail[::-1]
+        pivots, picks, _ = _echelon(([row[c] for c in order] for row in rows), width)
+        led = {order[lead] for lead in pivots}
+        on_head = [[row[c] for c in head] for row in rows]
+        kept = extend_independent([], on_head, h)
+        assert [on_head[k] for k, lead in zip(picks, pivots) if lead < h] == kept
+        units = RationalMatrix.identity(h).to_rows()
+        unled = [u for u, c in zip(units, head) if c not in led]
+        assert extend_independent(kept, units, h) == unled
+        rests = [v for lead, v in pivots.items() if lead >= h]
+        assert not any(x for v in rests for x in v[:h])
+        units = RationalMatrix.identity(width - h).to_rows()
+        unled = [u for u, c in zip(units, tail) if c not in led]
+        assert extend_independent([v[h:][::-1] for v in rests], units, width - h) == unled

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -140,8 +141,8 @@ def test_decomposition_invariants(hs):
 
 @pytest.mark.parametrize(
     "decorations, top",
-    [((("a", 1),), 6), ((("a", 1), ("b", 2)), 5)],
-    ids=["a1-d6", "a1b2-d5"],
+    [((("a", 1),), 6), ((("a", 1), ("b", 2)), 5), ((("a", 2), ("b", 3), ("c", 1)), 4)],
+    ids=["a1-d6", "a1b2-d5", "a2b3c1-d4"],
 )
 def test_decomposition_matches_span_ops_oracle(decorations, top):
     fast = HopfStructure(ForestAlgebra(DecorationSet(decorations)))
@@ -158,6 +159,14 @@ def test_decomposition_matches_span_ops_oracle(decorations, top):
         ):
             assert getattr(got, field) == getattr(want, field), (n, field)
         assert got == want
+
+
+def test_decomposition_degree_7_digest():
+    # the span_ops oracle is too slow at degree 7; the blocks are pinned by a digest instead
+    split = HopfStructure().decomposition(7)
+    blocks = (split.core, split.decomposable_complement, split.primitive_generators, split.residual)
+    digest = hashlib.sha256(repr([(b.basis.num, b.basis.den) for b in blocks]).encode()).hexdigest()
+    assert digest == "ef63bc33da488c83bc813eca278f1e9232c58ed42b377e19ff7cbaa7fc68fd89"
 
 
 def test_decomposition_frozen_small_degrees(hs):
