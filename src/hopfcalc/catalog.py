@@ -9,7 +9,6 @@ inversion at import time and round-tripped back as a consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from math import comb, factorial
 
 from .series import SeriesProfile, d_from_r, r_from_s, s_from_r
@@ -112,6 +111,8 @@ def golden_table(which: str) -> str:
     """Text of the bundled reference CSV for the s or d table."""
     if which not in ("s", "d"):
         raise ValueError(f"table must be 's' or 'd', got {which!r}")
+    from importlib import resources  # only the tests read the bundled tables
+
     return (
         resources.files("hopfcalc").joinpath(f"data/{which}_table.csv").read_text(encoding="ascii")
     )

@@ -16,12 +16,6 @@ import sys
 from typing import Optional, Sequence
 
 from .catalog import TABLE_ORDER, render_table
-from .pairing import (
-    adapt_complement,
-    build_pairing,
-    check_primitive_orthogonality,
-    verify_hopf_pairing,
-)
 from .series import (
     NonIntegerExponent,
     SeriesProfile,
@@ -33,11 +27,11 @@ from .series import (
     series_from_json,
     series_to_json,
 )
-from .structure import HopfStructure
-from .trees import DecorationSet, ForestAlgebra
 
+# the tree, structure and pairing layers are imported inside the commands
+# that run them, so the series commands start without them
 NCK_CAP = 7
-PAIRING_CAP = 5
+PAIRING_CAP = 6
 
 
 class ParseFailure(Exception):
@@ -69,7 +63,9 @@ def _load_series(path: str, expect_kind: str) -> SeriesProfile:
     return series
 
 
-def _load_decorations(path: Optional[str]) -> DecorationSet:
+def _load_decorations(path: Optional[str]):
+    from .trees import DecorationSet
+
     if path is None:
         return DecorationSet.default()
     text = _read_text(path)
@@ -131,6 +127,9 @@ def cmd_nck(args: argparse.Namespace) -> int:
         raise CapExceeded(f"--max-degree {args.max_degree} exceeds the cap {cap}")
     if args.max_degree < 1:
         raise ValueError("--max-degree must be >= 1")
+    from .structure import HopfStructure
+    from .trees import ForestAlgebra
+
     decorations = _load_decorations(args.decorations)
     structure = HopfStructure(ForestAlgebra(decorations))
     top = args.max_degree
@@ -163,6 +162,13 @@ def cmd_pairing(args: argparse.Namespace) -> int:
         raise CapExceeded(f"--max-degree {args.max_degree} exceeds the cap {cap}")
     if args.max_degree < 0:
         raise ValueError("--max-degree must be >= 0")
+    from .pairing import (
+        adapt_complement,
+        build_pairing,
+        check_primitive_orthogonality,
+        verify_hopf_pairing,
+    )
+
     state = build_pairing(args.max_degree)
     top = args.max_degree
     alg = state.structure.algebra

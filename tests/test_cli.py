@@ -268,7 +268,8 @@ def test_pairing_verify_and_adapt(capsys, monkeypatch):
 
 
 def test_pairing_caps(capsys, monkeypatch):
-    code, _, _ = run_cli(capsys, "pairing", "build", "--max-degree", "6")
+    monkeypatch.delenv("HOPF_CAP", raising=False)
+    code, _, _ = run_cli(capsys, "pairing", "build", "--max-degree", "7")
     assert code == 4
     code, _, _ = run_cli(capsys, "pairing", "build", "--max-degree", "-1")
     assert code == 3
@@ -300,12 +301,13 @@ def child_env() -> dict:
     return env
 
 
-def console_script(tmp_path, *argv):
+def console_script(tmp_path, *argv, flags=()):
     """Run the ``[project.scripts] hopfcalc`` target the way its installed wrapper does.
 
     The target is read from the repo's pyproject.toml and called in a fresh
-    interpreter whose path starts with the package this module imported, so
-    the test needs no install and no particular cwd or ``HOPF_CAP``.
+    interpreter, started with the interpreter options ``flags``, whose path
+    starts with the package this module imported, so the test needs no
+    install and no particular cwd or ``HOPF_CAP``.
     """
     try:
         import tomllib
@@ -317,7 +319,7 @@ def console_script(tmp_path, *argv):
     module, _, attr = target.partition(":")
     launcher = f"import sys; from {module} import {attr}; sys.exit({attr}())"
     return subprocess.run(
-        [sys.executable, "-c", launcher, *argv],
+        [sys.executable, *flags, "-c", launcher, *argv],
         capture_output=True,
         text=True,
         cwd=tmp_path,
@@ -333,6 +335,62 @@ def test_console_script_end_to_end(tmp_path):
     proc = console_script(tmp_path, "tables", "--which", "s", "--max", "9")
     assert proc.returncode == 4
     assert proc.stderr.startswith("error:")
+
+
+TREE_LAYERS = {"hopfcalc.linalg", "hopfcalc.pairing", "hopfcalc.structure", "hopfcalc.trees"}
+
+
+def imported(stderr: str) -> set[str]:
+    """Names of the modules a ``python -X importtime`` child reports on stderr."""
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "--from", "r", "--to", "s", "--input", "r.json"],
+        ["gate", "--which", "nck", "--input", "r.json"],
+        ["tables", "--which", "s"],
+    ],
+    ids=["convert", "gate", "tables"],
+)
+def test_series_commands_leave_the_tree_layers_unloaded(tmp_path, argv):
+    write(tmp_path, "r.json", CATALAN)
+    proc = console_script(tmp_path, *argv, flags=("-X", "importtime"))
+    assert proc.returncode == 0, proc.stderr
+    loaded = imported(proc.stderr)
+    assert {"hopfcalc.catalog", "hopfcalc.series"} <= loaded
+    assert not loaded & TREE_LAYERS
+
+
+def test_tree_commands_load_their_layers(tmp_path):
+    proc = console_script(tmp_path, "nck", "dims", "--max-degree", "2", flags=("-X", "importtime"))
+    assert proc.returncode == 0, proc.stderr
+    assert TREE_LAYERS - imported(proc.stderr) == {"hopfcalc.pairing"}
+    proc = console_script(
+        tmp_path, "pairing", "build", "--max-degree", "2", flags=("-X", "importtime")
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert TREE_LAYERS <= imported(proc.stderr)
+
+
+def test_package_import_loads_catalog_and_series_only(tmp_path):
+    # the benchmark's catalog.import_s reads the hopfcalc.catalog line of this import
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import hopfcalc"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = imported(proc.stderr)
+    assert {"hopfcalc.catalog", "hopfcalc.series"} <= loaded
+    assert not loaded & TREE_LAYERS
 
 
 def test_python_dash_m(tmp_path):
