@@ -6,7 +6,7 @@ Products, differences, transposes and symmetry checks run in ``int``;
 ``Fraction`` values appear only in the views (``entries``, ``row``, ``at``,
 ``to_rows``) and in the scalar results of ``det`` and ``apply``.
 
-Every elimination goes through one fraction-free echelon, ``_echelon``:
+Every exact elimination goes through one fraction-free echelon, ``_echelon``:
 integer rows are reduced in turn against the pivot rows found so far, by
 cross-multiplication, and trimmed by their gcd after each step.  It gives the
 rank, and carries the scale each row picks up, from which ``det`` follows.
@@ -16,6 +16,10 @@ row-echelon form behind ``rref``, ``inverse``, ``kernel_basis`` and
 order.  Pivots are the leftmost columns; since reduced row-echelon form is
 unique for a given row space, every Subspace stores a canonical basis and
 subspace equality is value equality.
+
+``rank_mod_p`` is the one elimination outside the rationals: the rank modulo
+a fixed prime, a lower bound for the rank over the rationals, for
+certificates that fall back to the exact routines when it comes up short.
 """
 
 from __future__ import annotations
@@ -318,6 +322,36 @@ class Subspace:
 
     def basis_rows(self) -> list[list[Fraction]]:
         return self.basis.to_rows()
+
+
+# the largest prime below 2**30: every residue is one CPython digit, and a
+# product of two fits in one machine word
+PRIME = 1073741789
+
+
+def rank_mod_p(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of integer rows reduced modulo ``PRIME``.
+
+    A minor that is nonzero modulo the prime is nonzero over the integers, so
+    this never exceeds the rank over the rationals.  Each row is reduced
+    against the pivot rows found so far, by increasing leading column, and
+    only from that column on; pivot rows are scaled to lead with 1.
+    """
+    p = PRIME
+    pivots: dict[int, list[int]] = {}  # by leading column; each row starts there
+    leads: list[int] = []  # sorted
+    for row in rows:
+        v = [x % p for x in row]
+        for col in leads:
+            a = v[col]
+            if a:
+                v[col:] = [(x - a * y) % p for x, y in zip(v[col:], pivots[col])]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, p)
+            pivots[lead] = [x * inv % p for x in v[lead:]]
+            insort(leads, lead)
+    return len(leads)
 
 
 def kernel_basis(m: RationalMatrix) -> Subspace:

@@ -10,15 +10,20 @@ forced again.  As the algebra is free on trees, the forced values fill every
 Gram row at a forest of two or more trees, and symmetry their transposes.
 Each degree therefore reduces to one exact solve for its tree x tree block,
 through the generators' square block on the tree coordinates.
+
+Verification proves each Gram nondegenerate, and the primitives the kernel of
+its rows at the multi-tree forests, by one certificate per degree: an exact
+product and two ranks modulo a prime.  Where the certificate falls short,
+the exact determinant or kernel decides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import RationalMatrix, kernel_basis, stack_rows
+from .linalg import RationalMatrix, Subspace, kernel_basis, rank_mod_p, stack_rows
 from .structure import DegreeDecomposition, HopfStructure
 from .trees import Forest
 
@@ -35,6 +40,10 @@ class PairingState:
     max_degree: int
     base_form: dict[int, RationalMatrix]
     gram: dict[int, RationalMatrix]
+    # per degree: the Gram and primitives a certificate read, and its verdict
+    certificates: dict[int, tuple[RationalMatrix, Subspace, bool]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def generator_block(self, n: int) -> RationalMatrix:
         """Gram restricted to the primitive-generator basis of degree n."""
@@ -268,12 +277,54 @@ def verify_hopf_pairing(state: PairingState) -> PairingReport:
         det_fail = shape_fail
     else:
         for n in range(state.max_degree + 1):
-            if state.gram[n].det() == 0:
+            if not _certified(state, n) and state.gram[n].det() == 0:
                 det_fail = {"degree": n, "det": "0"}
                 break
     checks.append(PairingCheck("nondegeneracy", det_fail is None, det_fail))
 
     return PairingReport(state.max_degree, tuple(checks))
+
+
+def _certified(state: PairingState, n: int) -> bool:
+    """The degree-n certificate's verdict, kept on the state for the Gram and primitives it read."""
+    if n < 1:
+        return False
+    g, prim = state.gram[n], state.structure.primitives(n)
+    cached = state.certificates.get(n)
+    if cached is None or cached[0] != g or cached[1] != prim:
+        cached = (g, prim, _certify(g, prim, *state.structure._coordinates(n)))
+        state.certificates[n] = cached
+    return cached[2]
+
+
+def _certify(g: RationalMatrix, prim: Subspace, trees: list[int], multi: list[int]) -> bool:
+    """Whether a certificate proves G nondegenerate, with its rows M at multi of kernel span P.
+
+    P is the basis of the primitives.  The certificate checks M P^T = 0 exactly,
+    rank M = columns - |P| modulo ``linalg.PRIME`` and, modulo the same prime, rank |P| for
+    P G on the tree columns.  A rank modulo a prime never exceeds the rank over the
+    rationals, so these prove ker M = span P with P's rows independent.  For symmetric G,
+    G x = 0 gives M x = 0, so x = P^T c, and then c^T (P G) = (G x)^T = 0 forces c = 0.
+    False proves nothing: callers then run the exact check.
+    """
+    if prim.ambient_dim != g.cols or not g.is_symmetric():
+        return False
+    rows = g.int_rows()
+    on_trees = []
+    for p_row in prim.basis.int_rows():
+        # row i of P G sums G's rows at P_i's nonzeros; as G is symmetric, its multi-tree
+        # columns are column i of M P^T
+        values = [0] * g.cols
+        for j, x in enumerate(p_row):
+            if x:
+                values = [v + x * y for v, y in zip(values, rows[j])]
+        if any(values[c] for c in multi):
+            return False
+        on_trees.append([values[c] for c in trees])
+    return (
+        rank_mod_p(on_trees) == prim.dim
+        and rank_mod_p(rows[k] for k in multi) == g.cols - prim.dim
+    )
 
 
 @dataclass(frozen=True)
@@ -299,12 +350,20 @@ def check_primitive_orthogonality(state: PairingState, n: int) -> OrthogonalityC
     """The pairing-orthogonal of the decomposables must be the primitives."""
     structure = state.structure
     structure.decomposables(n)  # raises FreenessError unless they are the multi-tree coordinates
+    primitives = structure.primitives(n)
+    if _certified(state, n):
+        # the kernel is span P, and its canonical basis is P's reduced row-echelon form
+        return OrthogonalityCheck(
+            degree=n,
+            orthogonal_dim=primitives.dim,
+            primitive_dim=primitives.dim,
+            passed=primitives.basis.rref()[0] == primitives.basis,
+        )
     _, multi = structure._coordinates(n)
     gram = state.gram[n]
     # the decomposables' unit rows times the Gram are the Gram's rows at those coordinates
     rows = RationalMatrix.from_int_rows([gram.int_row(i) for i in multi], gram.cols, gram.den)
     orthogonal = kernel_basis(rows)
-    primitives = structure.primitives(n)
     return OrthogonalityCheck(
         degree=n,
         orthogonal_dim=orthogonal.dim,

@@ -287,6 +287,45 @@ def test_pairing_build_degree_6_digest(capsys, monkeypatch):
     assert digest == "b570971acb432a8461634f32ce816b3ab3ddef38bd77ec0f9916a044e80cb06e"
 
 
+def test_pairing_verify_degree_6_digest(capsys, monkeypatch):
+    # perfbench/golden.json's pairing.verify.d6, recorded from the exact determinants and kernels
+    monkeypatch.setenv("HOPF_CAP", "6")
+    code, out, _ = run_cli(capsys, "pairing", "verify", "--max-degree", "6")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "11f66bf5871501cac8d488bd024bf3d3cecfda26e38f91a766029f185ab1ab70"
+
+
+def test_pairing_verify_falls_back_to_exact_checks(capsys, monkeypatch):
+    # modulo 2 the ranks of the degree 2-5 certificates come up short on a valid pairing
+    from hopfcalc import linalg, pairing
+
+    monkeypatch.delenv("HOPF_CAP", raising=False)
+    dets, kernels = [], []  # sizes of the matrices the exact path reduced
+    exact_det, exact_kernel = linalg.RationalMatrix.det, pairing.kernel_basis
+
+    def det(m):
+        dets.append(m.rows)
+        return exact_det(m)
+
+    def kernel_basis(m):
+        kernels.append(m.cols)
+        return exact_kernel(m)
+
+    monkeypatch.setattr(linalg.RationalMatrix, "det", det)
+    monkeypatch.setattr(pairing, "kernel_basis", kernel_basis)
+    argv = ("pairing", "verify", "--max-degree", "5")
+    code, certified, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert 42 not in dets and kernels == []
+    monkeypatch.setattr(linalg, "PRIME", 2)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == certified
+    assert {2, 5, 14, 42} <= set(dets)
+    assert kernels == [2, 5, 14, 42]
+
+
 def test_argparse_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["convert", "--from", "q", "--to", "s", "--input", "x"])
@@ -335,6 +374,30 @@ def test_console_script_end_to_end(tmp_path):
     proc = console_script(tmp_path, "tables", "--which", "s", "--max", "9")
     assert proc.returncode == 4
     assert proc.stderr.startswith("error:")
+
+
+def test_pairing_verify_under_optimize(tmp_path):
+    argv = ("pairing", "verify", "--max-degree", "5")
+    plain, optimized = (console_script(tmp_path, *argv, flags=flags) for flags in ((), ("-O",)))
+    assert plain.returncode == optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout
+    script = (
+        "import json\n"
+        "from hopfcalc.linalg import RationalMatrix\n"
+        "from hopfcalc.pairing import build_pairing, verify_hopf_pairing\n"
+        "state = build_pairing(3)\n"
+        "state.gram[3] = RationalMatrix.zeros(5, 5)\n"
+        "print(json.dumps(verify_hopf_pairing(state).checks[-1].to_json()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, cwd=tmp_path, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "check": "nondegeneracy",
+        "pass": False,
+        "counterexample": {"degree": 3, "det": "0"},
+    }
 
 
 TREE_LAYERS = {"hopfcalc.linalg", "hopfcalc.pairing", "hopfcalc.structure", "hopfcalc.trees"}

@@ -12,8 +12,10 @@ from hopfcalc.linalg import (
     AmbientMismatch,
     NotSquare,
     RationalMatrix,
+    PRIME,
     Subspace,
     kernel_basis,
+    rank_mod_p,
     stack_rows,
 )
 from test_span_oracle import contains, full_space, zero_space
@@ -177,6 +179,24 @@ def test_rank_nullity_randomized():
         assert m.rank() + k.dim == cols
         for v in k.basis_rows():
             assert m.apply(v) == (Fraction(0),) * rows
+
+
+def test_rank_mod_p_examples():
+    assert rank_mod_p([]) == 0
+    assert rank_mod_p([[0, 0], [0, 0]]) == 0
+    assert rank_mod_p([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 2
+    # a multiple of the prime vanishes: the rank modulo p may fall short, never exceed
+    assert rank_mod_p([[PRIME, 0], [0, 1]]) == 1
+    assert rank_mod_p([[1, 1], [1, 1 + PRIME]]) == 1
+    assert rank_mod_p([[2 * PRIME + 3, -5], [7, PRIME - 1]]) == 2
+
+
+def test_rank_mod_p_equals_exact_rank_on_small_entries():
+    rng = random.Random(11)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = random_matrix(rng, rows, cols)
+        assert rank_mod_p(m.int_rows()) == m.rank()
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,18 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import assume, given, settings, strategies
 
-from hopfcalc.linalg import RationalMatrix, Subspace, stack_rows
+from hopfcalc.linalg import RationalMatrix, Subspace, kernel_basis, stack_rows
 from hopfcalc.pairing import (
     AdaptedBasis,
     DegenerateBaseForm,
+    OrthogonalityCheck,
+    PairingCheck,
+    PairingReport,
     PairingState,
+    _certified,
+    _check_shapes,
     _forced_products,
     adapt_complement,
     build_pairing,
@@ -79,6 +84,38 @@ def oracle_grams(built: PairingState) -> dict[int, RationalMatrix]:
     for n in range(1, built.max_degree + 1):
         oracle_extend_degree(state, n, built.structure.decomposition(n), built.base_form[n])
     return state.gram
+
+
+def oracle_nondegeneracy(state: PairingState) -> PairingCheck:
+    """Nondegeneracy by the exact determinant of every Gram, as before the certificate."""
+    fail = _check_shapes(state)
+    if fail is None:
+        fail = next(
+            ({"degree": n, "det": "0"} for n in range(state.max_degree + 1) if state.gram[n].det() == 0),
+            None,
+        )
+    return PairingCheck("nondegeneracy", fail is None, fail)
+
+
+def oracle_orthogonality(state: PairingState, n: int) -> OrthogonalityCheck:
+    """Orthogonality by the exact kernel of the Gram rows at the multi-tree forests."""
+    structure = state.structure
+    _, multi = structure._coordinates(n)
+    gram = state.gram[n]
+    rows = RationalMatrix.from_int_rows([gram.int_row(i) for i in multi], gram.cols, gram.den)
+    orthogonal = kernel_basis(rows)
+    primitives = structure.primitives(n)
+    return OrthogonalityCheck(n, orthogonal.dim, primitives.dim, orthogonal == primitives)
+
+
+def assert_matches_oracle(state: PairingState) -> None:
+    """The certificate path's report and orthogonality JSON equal the exact oracle's."""
+    report = verify_hopf_pairing(state)
+    assert report.checks[-1].name == "nondegeneracy"
+    assert report == PairingReport(state.max_degree, report.checks[:-1] + (oracle_nondegeneracy(state),))
+    for n in range(1, state.max_degree + 1):
+        got = check_primitive_orthogonality(state, n).to_json()
+        assert got == oracle_orthogonality(state, n).to_json()
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +246,7 @@ def test_fault_injection_zeroed_gram():
     assert not by_name["nondegeneracy"].passed
     assert by_name["nondegeneracy"].counterexample == {"degree": 2, "det": "0"}
     assert by_name["homogeneity"].passed  # shape is still right
+    assert_matches_oracle(st)
 
 
 def test_fault_injection_asymmetric_entry():
@@ -252,6 +290,40 @@ def test_fault_injection_mirrored_product_value():
         "got": "0",
         "want": "1",
     }
+
+
+def test_fault_injection_null_multi_tree_forest():
+    # the two-dots forest becomes a null vector: P G and M P^T stay as they were, but the
+    # row at the multi-tree forest vanishes, so only the rank of M shows the fault
+    st = build_pairing(2)
+    st.gram[2] = RationalMatrix.from_rows([[0, 0], [0, Fraction(1, 4)]])
+    by_name = {c.name: c for c in verify_hopf_pairing(st).checks}
+    assert by_name["nondegeneracy"].counterexample == {"degree": 2, "det": "0"}
+    check = check_primitive_orthogonality(st, 2)
+    assert (check.orthogonal_dim, check.primitive_dim, check.passed) == (2, 1, False)
+    assert_matches_oracle(st)
+
+
+def test_fault_injection_null_primitive():
+    # the primitive (1, -2) becomes a null vector through the tree block alone: M and
+    # M P^T stay as they were, so only the rank of P G on the tree columns shows the fault
+    st = build_pairing(2)
+    st.gram[2] = RationalMatrix.from_rows([[2, 1], [1, Fraction(1, 2)]])
+    by_name = {c.name: c for c in verify_hopf_pairing(st).checks}
+    assert by_name["nondegeneracy"].counterexample == {"degree": 2, "det": "0"}
+    assert check_primitive_orthogonality(st, 2).passed
+    assert_matches_oracle(st)
+
+
+def test_fault_injection_asymmetric_kernel():
+    # P G vanishes at the multi-tree column, but the Gram's row there does not kill P
+    st = build_pairing(2)
+    st.gram[2] = RationalMatrix.from_rows([[2, 0], [1, 1]])
+    by_name = {c.name: c for c in verify_hopf_pairing(st).checks}
+    assert by_name["nondegeneracy"].passed
+    check = check_primitive_orthogonality(st, 2)
+    assert (check.orthogonal_dim, check.primitive_dim, check.passed) == (1, 1, False)
+    assert_matches_oracle(st)
 
 
 def test_fault_injection_missing_degree():
@@ -352,3 +424,120 @@ def test_pairing_axioms_for_random_base_forms(forms):
     for n, form in forms.items():
         assert built.base_form[n] == form
     assert built.gram == oracle_grams(built)
+    assert all(_certified(built, n) for n in range(1, 5))
+    assert_matches_oracle(built)
+
+
+def perturbed(g: RationalMatrix, i: int, j: int, delta: Fraction) -> RationalMatrix:
+    """g with delta added at (i, j) and at (j, i)."""
+    rows = g.to_rows()
+    rows[i][j] += delta
+    if i != j:
+        rows[j][i] += delta
+    return RationalMatrix.from_rows(rows)
+
+
+def with_null_vector(g: RationalMatrix, x) -> RationalMatrix:
+    """G - (G x)(G x)^T / (x^T G x): symmetric, and G x = 0 afterwards."""
+    gx = g.apply(x)
+    scale = sum(a * b for a, b in zip(x, gx))
+    return g - RationalMatrix.from_rows([[a * b / scale for b in gx] for a in gx])
+
+
+def weights(size: int):
+    return strategies.lists(strategies.integers(-2, 2), min_size=size, max_size=size)
+
+
+def combination(rows, coefficients) -> list:
+    """The sum of coefficient times row."""
+    return [sum(c * x for c, x in zip(coefficients, column)) for column in zip(*rows)]
+
+
+def with_primitives(state: PairingState, n: int, rows) -> None:
+    """Make the state's structure report the given rows as the degree-n primitive basis."""
+    patched = Subspace(state.structure.algebra.dim(n), RationalMatrix.from_rows(rows))
+    original = state.structure.primitives
+    state.structure.primitives = lambda k: patched if k == n else original(k)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["zeroed-gram", "gram-pair", "gram-entry", "multi-tree-null", "primitive-null", "primitive-row"],
+)
+@settings(deadline=None, max_examples=10)
+@given(forms=base_forms({1: 1, 2: 1, 3: 1, 4: 3}), data=strategies.data())
+def test_certificate_matches_exact_oracle_under_a_fault(fault, forms, data):
+    built = build_pairing(4, base_form=forms)
+    n = data.draw(strategies.integers(2, 4), label="degree")
+    g = built.gram[n]
+    dim = g.cols
+    coordinate = strategies.integers(0, dim - 1)
+    if fault == "zeroed-gram":
+        built.gram[n] = RationalMatrix.zeros(dim, dim)
+    elif fault == "gram-pair":
+        i, j, delta = data.draw(strategies.tuples(coordinate, coordinate, RATIONALS.filter(bool)))
+        built.gram[n] = perturbed(g, i, j, delta)
+    elif fault == "gram-entry":
+        i, j, delta = data.draw(strategies.tuples(coordinate, coordinate, RATIONALS.filter(bool)))
+        rows = g.to_rows()
+        rows[i][j] += delta
+        built.gram[n] = RationalMatrix.from_rows(rows)
+    elif fault == "multi-tree-null":
+        # a multi-tree forest's unit vector becomes a null vector: P G is unchanged
+        _, multi = built.structure._coordinates(n)
+        k = data.draw(strategies.sampled_from([k for k in multi if g.at(k, k)]), label="forest")
+        built.gram[n] = with_null_vector(g, [int(j == k) for j in range(dim)])
+    elif fault == "primitive-null":
+        # a primitive vector becomes a null vector: only the tree block moves, so M is unchanged
+        rows = built.structure.primitives(n).basis_rows()
+        x = combination(rows, data.draw(weights(len(rows))))
+        assume(sum(a * b for a, b in zip(x, g.apply(x))))
+        built.gram[n] = with_null_vector(g, x)
+    else:
+        # an integer combination of the basis rows: zero, a repeat, a multiple or another
+        # basis of the same span; optionally pushed off it at one coordinate
+        rows = built.structure.primitives(n).basis_rows()
+        r = data.draw(strategies.integers(0, len(rows) - 1), label="row")
+        rows[r] = combination(rows, data.draw(weights(len(rows))))
+        if data.draw(strategies.booleans(), label="off the span"):
+            rows[r][data.draw(coordinate)] += 1
+        with_primitives(built, n, rows)
+    assert_matches_oracle(built)
+
+
+def test_certificate_on_a_wrong_primitive():
+    # (1, 0) is not orthogonal to the two-dots row (2, 1), though both ranks come out full
+    st = build_pairing(2)
+    with_primitives(st, 2, [[1, 0]])
+    assert not _certified(st, 2)
+    assert verify_hopf_pairing(st).passed
+    check = check_primitive_orthogonality(st, 2)
+    assert (check.orthogonal_dim, check.primitive_dim, check.passed) == (1, 1, False)
+    assert_matches_oracle(st)
+
+
+def test_certificate_on_another_basis_of_the_primitives():
+    # the certificate still proves nondegeneracy, but the kernel's canonical basis is not P
+    st = build_pairing(4)
+    rows = st.structure.primitives(4).basis_rows()
+    rows[0] = [x + y for x, y in zip(rows[0], rows[1])]
+    with_primitives(st, 4, rows)
+    assert _certified(st, 4)
+    assert verify_hopf_pairing(st).passed
+    check = check_primitive_orthogonality(st, 4)
+    assert (check.orthogonal_dim, check.primitive_dim, check.passed) == (5, 5, False)
+    assert_matches_oracle(st)
+
+
+def test_certificate_verdict_follows_a_replaced_gram():
+    st = build_pairing(3)
+    assert verify_hopf_pairing(st).passed
+    assert check_primitive_orthogonality(st, 3).passed
+    st.gram[3] = RationalMatrix.zeros(5, 5)
+    by_name = {c.name: c for c in verify_hopf_pairing(st).checks}
+    assert by_name["nondegeneracy"].counterexample == {"degree": 3, "det": "0"}
+    assert check_primitive_orthogonality(st, 3).to_json() == oracle_orthogonality(st, 3).to_json()
+    assert not check_primitive_orthogonality(st, 3).passed
+    st.gram[3] = build_pairing(3).gram[3]
+    assert verify_hopf_pairing(st).passed
+    assert check_primitive_orthogonality(st, 3).passed

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
 import pytest
 
-from hopfcalc.linalg import Subspace, stack_rows
+from hopfcalc.linalg import RationalMatrix, Subspace, stack_rows
 from hopfcalc.series import SeriesProfile, p_from_r, s_from_r
 from hopfcalc.structure import FreenessError, HopfStructure
 from hopfcalc.trees import DecorationSet, ForestAlgebra, parse_forest
@@ -196,6 +197,30 @@ def test_degree_report_shape(hs):
     assert report["residual_matches_core"] is True
     assert report["dims"]["primitives"] == 2
     assert "bracket_matches_core" not in hs.degree_report(1)
+
+
+def without_row(space: Subspace, r: int) -> Subspace:
+    rows = space.basis.int_rows()
+    kept = rows[:r] + rows[r + 1 :]
+    return Subspace(space.ambient_dim, RationalMatrix.from_int_rows(kept, space.ambient_dim, space.basis.den))
+
+
+@pytest.mark.parametrize(
+    "block, flagged",
+    [("residual", {"residual_matches_core"}), ("core", {"residual_matches_core", "bracket_matches_core"})],
+)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_degree_report_flags_a_dropped_block_row(n, block, flagged):
+    # a generator row replaced by a core row goes unflagged: no key reads the generators
+    structure = HopfStructure()
+    split = structure.decomposition(n)
+    flags = ("primitive_count_ok", "residual_matches_core", "bracket_matches_core")
+    assert all(structure.degree_report(n)[key] for key in flags)
+    for r in (0, getattr(split, block).dim - 1):
+        faulty = dataclasses.replace(split, **{block: without_row(getattr(split, block), r)})
+        structure._decompositions[n] = faulty
+        report = structure.degree_report(n)
+        assert {key for key in flags if not report[key]} == flagged
 
 
 def test_determinism_across_instances(hs):
