@@ -51,46 +51,6 @@ class DegreeDecomposition:
         }
 
 
-@dataclass(frozen=True)
-class PrimitiveCountCheck:
-    """Primitive dimension against the indecomposable count of the degree."""
-
-    degree: int
-    primitive_dim: int
-    total_dim: int
-    decomposable_dim: int
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "check": "primitive-count",
-            "degree": self.degree,
-            "primitive_dim": self.primitive_dim,
-            "total_dim": self.total_dim,
-            "decomposable_dim": self.decomposable_dim,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class BracketCoreCheck:
-    """Commutator span against the decomposable-primitive intersection."""
-
-    degree: int
-    bracket_dim: int
-    core_dim: int
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "check": "bracket-core",
-            "degree": self.degree,
-            "bracket_dim": self.bracket_dim,
-            "core_dim": self.core_dim,
-            "pass": self.passed,
-        }
-
-
 class HopfStructure:
     """Structural analysis of one decorated forest algebra, cached per degree."""
 
@@ -237,40 +197,21 @@ class HopfStructure:
         multi = [k for k, f in enumerate(basis) if len(f.trees) > 1]
         return trees, multi
 
-    def check_primitive_count(self, n: int) -> PrimitiveCountCheck:
-        """Primitives must be exactly as numerous as algebra generators."""
-        prim = self.primitives(n).dim
-        total = self.algebra.dim(n)
-        dec = self.decomposables(n).dim
-        return PrimitiveCountCheck(
-            degree=n,
-            primitive_dim=prim,
-            total_dim=total,
-            decomposable_dim=dec,
-            passed=prim == total - dec,
-        )
-
-    def check_bracket_core(self, n: int) -> BracketCoreCheck:
-        """Commutators of primitives must span exactly the core block."""
-        bracket = self.bracket_space(n)
-        core = self.decomposition(n).core
-        return BracketCoreCheck(
-            degree=n,
-            bracket_dim=bracket.dim,
-            core_dim=core.dim,
-            passed=bracket == core,
-        )
-
     def degree_report(self, n: int) -> dict:
-        """Dimensions and check flags for one degree, JSON-ready."""
+        """Dimensions and check flags for one degree, JSON-ready.
+
+        Primitives must be as numerous as the algebra's generators (the forests
+        minus the decomposables), and commutators of primitives must span
+        exactly the core block.
+        """
         split = self.decomposition(n)
-        count = self.check_primitive_count(n)
+        generators = self.algebra.dim(n) - split.decomposables.dim
         report = {
             "degree": n,
             "dims": split.dims(),
-            "primitive_count_ok": count.passed,
+            "primitive_count_ok": split.primitives.dim == generators,
             "residual_matches_core": split.residual.dim == split.core.dim,
         }
         if n >= 2:
-            report["bracket_matches_core"] = self.check_bracket_core(n).passed
+            report["bracket_matches_core"] = self.bracket_space(n) == split.core
         return report

@@ -7,6 +7,11 @@ Pruned branches go to the LEFT tensor factor, concatenated in left-to-right
 depth-first order of their roots; the trunk containing the original root goes
 RIGHT.  The empty cut yields 1 ⊗ t and the formal total cut yields t ⊗ 1.
 
+That is the definition; the coproduct is computed from two identities instead
+of enumerating cuts.  Grafting on a root is a 1-cocycle,
+Δ(a[F]) = a[F] ⊗ 1 + (id ⊗ B⁺_a)Δ(F), and Δ is multiplicative, so a forest's
+coproduct is the product of its trees' coproducts.
+
 Degrees come from the decoration set (every decoration has degree >= 1, so the
 degree-0 component is spanned by the empty forest alone).  The canonical basis
 of each degree is sorted by serialized form; serialization is
@@ -15,7 +20,6 @@ of each degree is sorted by serialized form; serialization is
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -149,7 +153,6 @@ def parse_forest(text: str) -> Forest:
     return Forest(tuple(trees))
 
 
-CutTerm = tuple[tuple[Tree, ...], Tree]
 PairTerms = dict[tuple[Forest, Forest], int]
 TableColumn = dict[int, tuple[tuple[int, int, int], ...]]
 
@@ -165,8 +168,7 @@ class ForestAlgebra:
         self.decorations = decorations if decorations is not None else DecorationSet.default()
         self._trees: dict[int, tuple[Tree, ...]] = {}
         self._basis: dict[int, tuple[Forest, ...]] = {}
-        self._index: dict[int, dict[Forest, int]] = {}
-        self._cuts: dict[Tree, tuple[CutTerm, ...]] = {}
+        self._position: dict[Forest, tuple[int, int]] = {}
         self._coterms: dict[Forest, PairTerms] = {}
         self._tables: dict[int, tuple[TableColumn, ...]] = {}
 
@@ -213,6 +215,7 @@ class ForestAlgebra:
                     for rest in self.basis(n - k)
                 ]
                 cached = tuple(sorted(found, key=Forest.encode))
+            self._position.update((f, (n, i)) for i, f in enumerate(cached))
             self._basis[n] = cached
         return cached
 
@@ -221,57 +224,36 @@ class ForestAlgebra:
 
     def index(self, forest: Forest) -> int:
         """Position of a basis forest inside its degree's canonical order."""
-        n = self.degree(forest)
-        table = self._index.get(n)
-        if table is None:
-            table = {f: i for i, f in enumerate(self.basis(n))}
-            self._index[n] = table
-        try:
-            return table[forest]
-        except KeyError:
-            raise ValueError(f"{forest.encode()!r} is not a degree-{n} basis forest") from None
+        found = self._position.get(forest)
+        if found is None:
+            # every forest over the alphabet is a basis forest of its degree
+            self.basis(self.degree(forest))
+            found = self._position[forest]
+        return found[1]
 
     # -- coproduct ------------------------------------------------------------
 
-    def _tree_cuts(self, tree: Tree) -> tuple[CutTerm, ...]:
-        """All admissible edge-subset cuts of a tree as (pruned trees, trunk).
-
-        Per child edge: either cut it (the whole child subtree is pruned) or
-        recurse into the child's own cuts.  The empty cut appears as ((), tree).
-        """
-        cached = self._cuts.get(tree)
-        if cached is not None:
-            return cached
-        per_child: list[list[tuple[tuple[Tree, ...], Optional[Tree]]]] = []
-        for child in tree.children:
-            options: list[tuple[tuple[Tree, ...], Optional[Tree]]] = [((child,), None)]
-            options.extend(self._tree_cuts(child))
-            per_child.append(options)
-        out = []
-        for combo in itertools.product(*per_child):
-            pruned = tuple(itertools.chain.from_iterable(part for part, _ in combo))
-            kept = tuple(trunk for _, trunk in combo if trunk is not None)
-            out.append((pruned, Tree(tree.decoration, kept)))
-        cached = tuple(out)
-        self._cuts[tree] = cached
-        return cached
-
     def coproduct_terms(self, forest: Forest) -> PairTerms:
-        """Sparse coproduct: {(left forest, right forest): coefficient}."""
+        """Sparse coproduct: {(left forest, right forest): coefficient}.
+
+        Each tree a[F] contributes a[F] ⊗ 1 and L ⊗ a[R] for every term L ⊗ R
+        of Δ(F); the trees' coproducts are multiplied in a loop, left to right.
+        """
         cached = self._coterms.get(forest)
         if cached is not None:
             return cached
         terms: PairTerms = {(Forest(), Forest()): 1}
         for tree in forest.trees:
-            tree_terms: list[tuple[Forest, Forest]] = [(Forest((tree,)), Forest())]
+            tree_terms = [((Forest((tree,)), Forest()), 1)]
             tree_terms.extend(
-                (Forest(pruned), Forest((trunk,))) for pruned, trunk in self._tree_cuts(tree)
+                ((left, Forest((Tree(tree.decoration, right.trees),))), coeff)
+                for (left, right), coeff in self.coproduct_terms(Forest(tree.children)).items()
             )
             combined: PairTerms = {}
             for (left, right), coeff in terms.items():
-                for part_left, part_right in tree_terms:
+                for (part_left, part_right), part_coeff in tree_terms:
                     key = (left * part_left, right * part_right)
-                    combined[key] = combined.get(key, 0) + coeff
+                    combined[key] = combined.get(key, 0) + coeff * part_coeff
             terms = combined
         self._coterms[forest] = terms
         return terms
@@ -296,17 +278,21 @@ class ForestAlgebra:
             raise DegreeZeroInput("reduced coproduct needs degree >= 1")
         cached = self._tables.get(n)
         if cached is None:
+            position = self._position
             columns = []
             for forest in self.basis(n):
                 by_left: dict[int, list[tuple[int, int, int]]] = {}
                 for (left, right), coeff in self.reduced_coproduct_terms(forest).items():
-                    i = self.degree(left)
-                    if i + self.degree(right) != n:
+                    # basis(n) has placed every forest a term can hold; one off the map
+                    # reads as the unit and fails the check like a unit factor would
+                    i, a = position.get(left, (0, 0))
+                    j, b = position.get(right, (0, 0))
+                    if not 0 < i < n or i + j != n:
                         raise RuntimeError(
                             f"coproduct of {forest.encode()!r} breaks the grading at "
                             f"{left.encode()!r} (x) {right.encode()!r}"
                         )
-                    by_left.setdefault(i, []).append((self.index(left), self.index(right), coeff))
+                    by_left.setdefault(i, []).append((a, b, coeff))
                 columns.append({i: tuple(terms) for i, terms in by_left.items()})
             cached = tuple(columns)
             self._tables[n] = cached

@@ -296,6 +296,25 @@ def test_pairing_verify_degree_6_digest(capsys, monkeypatch):
     assert digest == "11f66bf5871501cac8d488bd024bf3d3cecfda26e38f91a766029f185ab1ab70"
 
 
+def test_nck_verify_degree_6_digest(capsys, monkeypatch):
+    # perfbench/golden.json's nck.verify.d6
+    monkeypatch.delenv("HOPF_CAP", raising=False)
+    code, out, _ = run_cli(capsys, "nck", "verify", "--max-degree", "6")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "e724451e1bd02743c847ee06aef7a01652662a17327baace8990fe3c6d52cd2f"
+
+
+def test_nck_verify_two_letters_degree_5_digest(capsys, monkeypatch, tmp_path):
+    # perfbench/golden.json's nck.verify.ab.d5
+    monkeypatch.delenv("HOPF_CAP", raising=False)
+    path = write(tmp_path, "ab.json", '[{"label":"a","degree":1},{"label":"b","degree":2}]')
+    code, out, _ = run_cli(capsys, "nck", "verify", "--max-degree", "5", "--decorations", path)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "5e57c8a38c8d8f72f9fc8cc66ad93645e10c8b78bd43223fb445cfadc26a84dc"
+
+
 def test_pairing_verify_falls_back_to_exact_checks(capsys, monkeypatch):
     # modulo 2 the ranks of the degree 2-5 certificates come up short on a valid pairing
     from hopfcalc import linalg, pairing

@@ -80,12 +80,10 @@ def test_decomposables_raise_when_products_miss_a_forest(monkeypatch):
 
 def test_primitive_count_check(hs):
     for n in range(1, TOP + 1):
-        check = hs.check_primitive_count(n)
-        assert check.passed
-        assert check.primitive_dim == check.total_dim - check.decomposable_dim
-    as_json = hs.check_primitive_count(3).to_json()
-    assert as_json["pass"] is True
-    assert (as_json["primitive_dim"], as_json["total_dim"], as_json["decomposable_dim"]) == (2, 5, 3)
+        assert hs.degree_report(n)["primitive_count_ok"] is True
+        assert hs.primitives(n).dim == hs.algebra.dim(n) - hs.decomposables(n).dim
+    dims = hs.degree_report(3)["dims"]
+    assert (dims["primitives"], hs.algebra.dim(3), dims["decomposables"]) == (2, 5, 3)
 
 
 def test_bracket_space_examples(hs):
@@ -97,16 +95,9 @@ def test_bracket_space_examples(hs):
 
 def test_bracket_space_equals_core(hs):
     for n in range(2, TOP + 1):
-        check = hs.check_bracket_core(n)
-        assert check.passed
+        assert hs.degree_report(n)["bracket_matches_core"] is True
         assert hs.bracket_space(n) == hs.decomposition(n).core
-    assert hs.check_bracket_core(4).to_json() == {
-        "check": "bracket-core",
-        "degree": 4,
-        "bracket_dim": 2,
-        "core_dim": 2,
-        "pass": True,
-    }
+    assert (hs.bracket_space(4).dim, hs.degree_report(4)["dims"]["core"]) == (2, 2)
 
 
 def direct_sum_holds(a: Subspace, b: Subspace, whole: Subspace) -> bool:
@@ -238,6 +229,7 @@ def test_two_decoration_structure_smoke():
         assert split.primitives.dim == p[n - 1]
         assert split.primitive_generators.dim == s[n - 1]
         assert split.residual.dim == split.core.dim
-        assert hs2.check_primitive_count(n).passed
-    assert hs2.check_bracket_core(2).passed
-    assert hs2.check_bracket_core(3).passed
+        report = hs2.degree_report(n)
+        assert report["primitive_count_ok"]
+        if n >= 2:
+            assert report["bracket_matches_core"]

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import random
+import sys
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +31,46 @@ CHERRY = parse_forest("a[a[] a[]]")
 
 def terms_as_strings(terms):
     return {(l.encode(), r.encode()): c for (l, r), c in terms.items()}
+
+
+def admissible_cuts(tree: Tree) -> list[tuple[tuple[Tree, ...], tuple[Tree, ...]]]:
+    """(left trees, right trees) for every admissible cut of a tree and the total cut.
+
+    Vertices are numbered in depth-first order; a cut is a set of non-root
+    vertices, each losing the edge to its parent, none below another one.
+    """
+    labels, kids, above, subtree = [], [], [], []
+
+    def visit(t: Tree, ancestors: frozenset) -> int:
+        v = len(labels)
+        labels.append(t.decoration)
+        kids.append([])
+        above.append(ancestors)
+        subtree.append(t)
+        kids[v] = [visit(c, ancestors | {v}) for c in t.children]
+        return v
+
+    visit(tree, frozenset())
+
+    def trunk(v: int, cut: set) -> Tree:
+        return Tree(labels[v], tuple(trunk(c, cut) for c in kids[v] if c not in cut))
+
+    out = [((tree,), ())]
+    for size in range(len(labels)):
+        for cut in itertools.combinations(range(1, len(labels)), size):
+            if not any(above[v] & set(cut) for v in cut):
+                out.append((tuple(subtree[v] for v in cut), (trunk(0, set(cut)),)))
+    return out
+
+
+def definition_coproduct(forest: Forest) -> dict:
+    """The coproduct from the definition: a forest takes the product over its trees."""
+    out: dict = {}
+    for parts in itertools.product(*(admissible_cuts(t) for t in forest.trees)):
+        left = Forest(tuple(t for pruned, _ in parts for t in pruned))
+        right = Forest(tuple(t for _, kept in parts for t in kept))
+        out[(left, right)] = out.get((left, right), 0) + 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +157,11 @@ def test_enumeration_canonical_order_frozen():
             assert alg.index(f) == i
 
 
+def test_index_on_a_fresh_algebra_places_the_forest():
+    f = parse_forest("a[a[]] a[]")
+    assert ForestAlgebra().index(f) == ForestAlgebra().basis(3).index(f) == 3
+
+
 def test_index_rejects_foreign_forest():
     alg = ForestAlgebra()
     with pytest.raises(KeyError):
@@ -198,6 +246,55 @@ def test_grading_structural_assert():
     broken.reduced_coproduct_terms = lambda f: {(DOT, DOT): 1}
     with pytest.raises(RuntimeError, match="grading"):
         broken.reduced_table(3)
+
+
+def test_grading_assert_catches_a_full_degree_left_factor():
+    # the left factor is on the position map, but the degrees sum to n + 1
+    for n in (2, 3, 4):
+        broken = ForestAlgebra()
+        top = broken.basis(n)[-1]
+        broken.reduced_coproduct_terms = lambda f: {(top, DOT): 1}
+        with pytest.raises(RuntimeError, match="grading"):
+            broken.reduced_table(n)
+
+
+def test_coproduct_matches_definition_through_degree_6():
+    alg = ForestAlgebra()
+    for n in range(7):
+        for f in alg.basis(n):
+            assert alg.coproduct_terms(f) == definition_coproduct(f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    degrees=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    n=st.integers(1, 5),
+)
+def test_coproduct_matches_definition_random_decorations(degrees, n):
+    decorations = DecorationSet(tuple(zip("abc", degrees)))
+    # the forest count from the series keeps the enumeration small
+    r = r_from_d(SeriesProfile.make("D", decorations.degree_counts(n)))
+    assume(r.coeff(n) <= 300)
+    alg = ForestAlgebra(decorations)
+    for f in alg.basis(n):
+        assert alg.coproduct_terms(f) == definition_coproduct(f)
+
+
+def test_coproduct_of_a_wide_forest_loops_over_its_trees():
+    # a recursion on the number of trees would need about 100 frames here
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    wide = Forest(DOT.trees * 100)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        terms = ForestAlgebra().coproduct_terms(wide)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert terms == {
+        (Forest(DOT.trees * k), Forest(DOT.trees * (100 - k))): comb(100, k) for k in range(101)
+    }
 
 
 def test_counit_law():
