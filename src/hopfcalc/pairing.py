@@ -46,9 +46,18 @@ class PairingState:
     )
 
     def generator_block(self, n: int) -> RationalMatrix:
-        """Gram restricted to the primitive-generator basis of degree n."""
-        h_mat = self.structure.decomposition(n).primitive_generators.basis
-        return h_mat @ self.gram[n] @ h_mat.transpose()
+        """Gram restricted to the primitive-generator basis H of degree n: H G H^T.
+
+        Both products walk the nonzeros of H's rows only.
+        """
+        h_mat, g = self.structure.decomposition(n).primitive_generators.basis, self.gram[n]
+        h_rows, g_rows = h_mat.int_rows(), g.int_rows()
+        supports = [[(j, x) for j, x in enumerate(row) if x] for row in h_rows]
+        flat = []
+        for h_row in h_rows:
+            hg = _combine(h_row, g_rows, g.cols)
+            flat.extend(sum(x * hg[j] for j, x in support) for support in supports)
+        return RationalMatrix(h_mat.rows, h_mat.rows, tuple(flat), h_mat.den * g.den * h_mat.den)
 
     def gram_json(self) -> dict:
         return {
@@ -70,6 +79,15 @@ def _validate_base_form(form: RationalMatrix, size: int, n: int) -> None:
 
 def _split_first_tree(f: Forest) -> tuple[Forest, Forest]:
     return Forest((f.trees[0],)), Forest(f.trees[1:])
+
+
+def _combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> list[int]:
+    """Sum of coeffs[j] * rows[j] over the nonzero coefficients."""
+    values = [0] * width
+    for j, x in enumerate(coeffs):
+        if x:
+            values = [v + x * y for v, y in zip(values, rows[j])]
+    return values
 
 
 def _pair_terms(
@@ -228,7 +246,7 @@ def _check_multiplicativity(state: PairingState) -> Optional[dict]:
         for i in range(1, k):
             scale = lower[i].den * lower[k - i].den
             xs, ys = alg.basis(i), alg.basis(k - i)
-            products = [[alg.index(x * y) for y in ys] for x in xs]
+            products = alg.products(i, k - i)
             for iz, z in enumerate(alg.basis(k)):
                 terms = table[iz].get(i, ())
                 for ix, x in enumerate(xs):
@@ -314,10 +332,7 @@ def _certify(g: RationalMatrix, prim: Subspace, trees: list[int], multi: list[in
     for p_row in prim.basis.int_rows():
         # row i of P G sums G's rows at P_i's nonzeros; as G is symmetric, its multi-tree
         # columns are column i of M P^T
-        values = [0] * g.cols
-        for j, x in enumerate(p_row):
-            if x:
-                values = [v + x * y for v, y in zip(values, rows[j])]
+        values = _combine(p_row, rows, g.cols)
         if any(values[c] for c in multi):
             return False
         on_trees.append([values[c] for c in trees])

@@ -106,8 +106,7 @@ class HopfStructure:
         cached = self._decomposables.get(n)
         if cached is None:
             alg = self.algebra
-            pairs = ((f, g) for i in range(1, n) for f in alg.basis(i) for g in alg.basis(n - i))
-            hit = {alg.index(f * g) for f, g in pairs}
+            hit = {k for i in range(1, n) for row in alg.products(i, n - i) for k in row}
             _, multi = self._coordinates(n)
             if hit != set(multi):
                 first = min(hit.symmetric_difference(multi))
@@ -126,27 +125,25 @@ class HopfStructure:
         cached = self._brackets.get(n)
         if cached is None:
             alg = self.algebra
-            index = {f: k for k, f in enumerate(alg.basis(n))}
+            dim = alg.dim(n)
             rows = []
             # [y, x] = -[x, y], so the left degree runs up to n / 2 only
             for i in range(1, n // 2 + 1):
-                left, right = alg.basis(i), alg.basis(n - i)
                 # index(f g) and index(g f) for basis forests f, g
-                cross = [[(index[f * g], index[g * f]) for g in right] for f in left]
+                fg, gf = alg.products(i, n - i), alg.products(n - i, i)
                 xs, ys = (
                     [[(a, c) for a, c in enumerate(row) if c] for row in prim.basis.int_rows()]
                     for prim in (self.primitives(i), self.primitives(n - i))
                 )
                 for x_row in xs:
                     for y_row in ys:
-                        v = [0] * len(index)
+                        v = [0] * dim
                         for a, x in x_row:
                             for b, y in y_row:
-                                xy, yx = cross[a][b]
-                                v[xy] += x * y
-                                v[yx] -= x * y
+                                v[fg[a][b]] += x * y
+                                v[gf[b][a]] -= x * y
                         rows.append(v)
-            cached = Subspace.span(alg.dim(n), rows)
+            cached = Subspace.span(dim, rows)
             self._brackets[n] = cached
         return cached
 

@@ -16,6 +16,11 @@ Degrees come from the decoration set (every decoration has degree >= 1, so the
 degree-0 component is spanned by the empty forest alone).  The canonical basis
 of each degree is sorted by serialized form; serialization is
 ``label[child child ...]`` with ``1`` for the empty forest.
+
+``Tree`` and ``Forest`` are the public objects.  Internally each tree gets a
+number once, and a forest is keyed by the tuple of its trees' numbers, so the
+coproduct, the reduced tables and the product tables hash small int tuples
+instead of whole trees.
 """
 
 from __future__ import annotations
@@ -153,6 +158,8 @@ def parse_forest(text: str) -> Forest:
     return Forest(tuple(trees))
 
 
+Key = tuple[int, ...]
+KeyTerms = dict[tuple[Key, Key], int]
 PairTerms = dict[tuple[Forest, Forest], int]
 TableColumn = dict[int, tuple[tuple[int, int, int], ...]]
 
@@ -160,16 +167,28 @@ TableColumn = dict[int, tuple[tuple[int, int, int], ...]]
 class ForestAlgebra:
     """Canonical bases and Hopf operations for one decoration set.
 
+    Each tree is numbered on first sight, through the graft map from
+    (label, children key) to its number, and a forest is keyed by the tuple of
+    its trees' numbers; the coproduct, the reduced tables and the product
+    tables run on these keys.  ``Tree`` and ``Forest`` objects are built for
+    the public views only.
+
     All caches are filled deterministically and published whole, so concurrent
     repeated computation is idempotent.
     """
 
     def __init__(self, decorations: Optional[DecorationSet] = None) -> None:
         self.decorations = decorations if decorations is not None else DecorationSet.default()
-        self._trees: dict[int, tuple[Tree, ...]] = {}
+        # per tree number: (label, children key), the Tree and its serialized form
+        self._nodes: list[tuple[str, Key]] = []
+        self._tree_objects: list[Tree] = []
+        self._codes: list[str] = []
+        self._graft: dict[tuple[str, Key], int] = {}
+        self._trees: dict[int, tuple[int, ...]] = {}
+        self._keys: dict[int, tuple[Key, ...]] = {}
+        self._position: dict[Key, tuple[int, int]] = {}
         self._basis: dict[int, tuple[Forest, ...]] = {}
-        self._position: dict[Forest, tuple[int, int]] = {}
-        self._coterms: dict[Forest, PairTerms] = {}
+        self._coterms: dict[Key, KeyTerms] = {(): {((), ()): 1}}
         self._tables: dict[int, tuple[TableColumn, ...]] = {}
 
     # -- degrees ------------------------------------------------------------
@@ -184,20 +203,61 @@ class ForestAlgebra:
 
     # -- enumeration ----------------------------------------------------------
 
-    def trees_of_degree(self, n: int) -> tuple[Tree, ...]:
-        if n < 1:
-            return ()
+    def _intern(self, label: str, children: Key) -> int:
+        """Number of the tree label[children], given on first sight."""
+        node = (label, children)
+        found = self._graft.get(node)
+        if found is None:
+            found = len(self._nodes)
+            self._graft[node] = found
+            self._nodes.append(node)
+            objects = self._tree_objects
+            objects.append(Tree(label, tuple(objects[c] for c in children)))
+            self._codes.append(f"{label}[{self._code(children)}]")
+        return found
+
+    def _tree_numbers(self, n: int) -> tuple[int, ...]:
+        """Numbers of the degree-n trees in canonical order."""
         cached = self._trees.get(n)
         if cached is None:
             found = [
-                Tree(label, children.trees)
+                self._intern(label, children)
                 for label, degree in self.decorations.entries
                 if degree <= n
-                for children in self.basis(n - degree)
+                for children in self._forest_keys(n - degree)
             ]
-            cached = tuple(sorted(found, key=Tree.encode))
+            cached = tuple(sorted(found, key=self._codes.__getitem__))
             self._trees[n] = cached
         return cached
+
+    def _forest_keys(self, n: int) -> tuple[Key, ...]:
+        """Keys of the degree-n basis in canonical order; places each on the position map."""
+        cached = self._keys.get(n)
+        if cached is None:
+            found = [
+                (first,) + rest
+                for k in range(1, n + 1)
+                for first in self._tree_numbers(k)
+                for rest in self._forest_keys(n - k)
+            ]
+            cached = tuple(sorted(found, key=self._code)) if n else ((),)
+            self._position.update((key, (n, i)) for i, key in enumerate(cached))
+            self._keys[n] = cached
+        return cached
+
+    def _code(self, key: Key) -> str:
+        return " ".join(map(self._codes.__getitem__, key))
+
+    def _forest(self, key: Key) -> Forest:
+        return Forest(tuple(map(self._tree_objects.__getitem__, key)))
+
+    def _key(self, trees: tuple[Tree, ...]) -> Key:
+        return tuple(self._intern(t.decoration, self._key(t.children)) for t in trees)
+
+    def trees_of_degree(self, n: int) -> tuple[Tree, ...]:
+        if n < 1:
+            return ()
+        return tuple(map(self._tree_objects.__getitem__, self._tree_numbers(n)))
 
     def basis(self, n: int) -> tuple[Forest, ...]:
         """All forests of degree n in canonical (serialized-lexicographic) order."""
@@ -205,58 +265,65 @@ class ForestAlgebra:
             return ()
         cached = self._basis.get(n)
         if cached is None:
-            if n == 0:
-                cached = (Forest(),)
-            else:
-                found = [
-                    Forest((first,) + rest.trees)
-                    for k in range(1, n + 1)
-                    for first in self.trees_of_degree(k)
-                    for rest in self.basis(n - k)
-                ]
-                cached = tuple(sorted(found, key=Forest.encode))
-            self._position.update((f, (n, i)) for i, f in enumerate(cached))
+            cached = tuple(map(self._forest, self._forest_keys(n)))
             self._basis[n] = cached
         return cached
 
     def dim(self, n: int) -> int:
-        return len(self.basis(n))
+        return len(self._forest_keys(n)) if n >= 0 else 0
 
     def index(self, forest: Forest) -> int:
         """Position of a basis forest inside its degree's canonical order."""
-        found = self._position.get(forest)
-        if found is None:
-            # every forest over the alphabet is a basis forest of its degree
-            self.basis(self.degree(forest))
-            found = self._position[forest]
-        return found[1]
+        self._forest_keys(self.degree(forest))
+        return self._position[self._key(forest.trees)][1]
+
+    def products(self, i: int, j: int) -> tuple[tuple[int, ...], ...]:
+        """Row a holds the index of basis(i)[a] * basis(j)[b] in basis(i + j), at b."""
+        self._forest_keys(i + j)
+        position, rights = self._position, self._forest_keys(j)
+        return tuple(tuple(position[x + y][1] for y in rights) for x in self._forest_keys(i))
 
     # -- coproduct ------------------------------------------------------------
 
-    def coproduct_terms(self, forest: Forest) -> PairTerms:
-        """Sparse coproduct: {(left forest, right forest): coefficient}.
+    def _coproduct(self, key: Key) -> KeyTerms:
+        """Memoised coproduct of a forest key: {(left key, right key): coefficient}.
 
         Each tree a[F] contributes a[F] ⊗ 1 and L ⊗ a[R] for every term L ⊗ R
-        of Δ(F); the trees' coproducts are multiplied in a loop, left to right.
+        of Δ(F).  A forest multiplies its trees' coproducts by concatenation,
+        left to right, starting from its longest memoised prefix.
         """
-        cached = self._coterms.get(forest)
+        memo = self._coterms
+        cached = memo.get(key)
         if cached is not None:
             return cached
-        terms: PairTerms = {(Forest(), Forest()): 1}
-        for tree in forest.trees:
-            tree_terms = [((Forest((tree,)), Forest()), 1)]
-            tree_terms.extend(
-                ((left, Forest((Tree(tree.decoration, right.trees),))), coeff)
-                for (left, right), coeff in self.coproduct_terms(Forest(tree.children)).items()
-            )
-            combined: PairTerms = {}
+        if len(key) == 1:
+            label, children = self._nodes[key[0]]
+            terms = {(key, ()): 1}
+            for (left, right), coeff in self._coproduct(children).items():
+                terms[left, (self._intern(label, right),)] = coeff
+            memo[key] = terms
+            return terms
+        done = len(key) - 1
+        while done > 1 and key[:done] not in memo:
+            done -= 1
+        terms = self._coproduct(key[:done])
+        for k in range(done, len(key)):
+            tree_terms = self._coproduct(key[k : k + 1]).items()
+            combined: KeyTerms = {}
             for (left, right), coeff in terms.items():
-                for (part_left, part_right), part_coeff in tree_terms:
-                    key = (left * part_left, right * part_right)
-                    combined[key] = combined.get(key, 0) + coeff * part_coeff
+                for (tree_left, tree_right), tree_coeff in tree_terms:
+                    pair = (left + tree_left, right + tree_right)
+                    combined[pair] = combined.get(pair, 0) + coeff * tree_coeff
             terms = combined
-        self._coterms[forest] = terms
+            memo[key[: k + 1]] = terms
         return terms
+
+    def coproduct_terms(self, forest: Forest) -> PairTerms:
+        """Sparse coproduct: {(left forest, right forest): coefficient}."""
+        return {
+            (self._forest(left), self._forest(right)): coeff
+            for (left, right), coeff in self._coproduct(self._key(forest.trees)).items()
+        }
 
     def reduced_coproduct_terms(self, forest: Forest) -> PairTerms:
         if self.degree(forest) == 0:
@@ -280,17 +347,19 @@ class ForestAlgebra:
         if cached is None:
             position = self._position
             columns = []
-            for forest in self.basis(n):
+            for key in self._forest_keys(n):
                 by_left: dict[int, list[tuple[int, int, int]]] = {}
-                for (left, right), coeff in self.reduced_coproduct_terms(forest).items():
+                for (left, right), coeff in self._coproduct(key).items():
+                    if not (left and right):
+                        continue
                     # basis(n) has placed every forest a term can hold; one off the map
                     # reads as the unit and fails the check like a unit factor would
                     i, a = position.get(left, (0, 0))
                     j, b = position.get(right, (0, 0))
                     if not 0 < i < n or i + j != n:
                         raise RuntimeError(
-                            f"coproduct of {forest.encode()!r} breaks the grading at "
-                            f"{left.encode()!r} (x) {right.encode()!r}"
+                            f"coproduct of {self._code(key)!r} breaks the grading at "
+                            f"{self._code(left)!r} (x) {self._code(right)!r}"
                         )
                     by_left.setdefault(i, []).append((a, b, coeff))
                 columns.append({i: tuple(terms) for i, terms in by_left.items()})

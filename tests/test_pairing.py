@@ -173,6 +173,27 @@ def test_restriction_equals_base_form(state):
         assert state.generator_block(n).to_rows() == state.base_form[n].to_rows()
 
 
+def dense_generator_block(state: PairingState, n: int) -> RationalMatrix:
+    """H G H^T as two dense products, H the primitive-generator rows."""
+    h = state.structure.decomposition(n).primitive_generators.basis
+    return h @ state.gram[n] @ h.transpose()
+
+
+def test_generator_block_matches_dense_products(state):
+    for n in range(1, TOP + 1):
+        assert state.generator_block(n) == dense_generator_block(state, n)
+    # off the base form as well: a Gram with fractions, no symmetry and no zeros
+    faulty = build_pairing(TOP, structure=state.structure)
+    for n in range(1, TOP + 1):
+        dim = faulty.gram[n].cols
+        faulty.gram[n] = RationalMatrix.from_rows(
+            [[Fraction(3 * i - j * j + 1, 2 + (i + j) % 5) for j in range(dim)] for i in range(dim)]
+        )
+        block = faulty.generator_block(n)
+        assert block == dense_generator_block(faulty, n)
+        assert block != faulty.base_form[n]
+
+
 def test_generator_functionals_consistency(state):
     for n in range(1, TOP + 1):
         split = state.structure.decomposition(n)

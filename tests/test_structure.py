@@ -70,10 +70,12 @@ def test_decomposables_dims_and_freeness(hs):
 def test_decomposables_raise_when_products_miss_a_forest(monkeypatch):
     hs2 = HopfStructure()
     alg = hs2.algebra
-    two_dots, ladder = parse_forest("a[] a[]"), parse_forest("a[a[]]")
-    index = alg.index
+    ladder = alg.index(parse_forest("a[a[]]"))
+    products = alg.products
     # the product a[]·a[] lands on the ladder, so no product hits the two-dot forest
-    monkeypatch.setattr(alg, "index", lambda f: index(ladder) if f == two_dots else index(f))
+    monkeypatch.setattr(
+        alg, "products", lambda i, j: ((ladder,),) if (i, j) == (1, 1) else products(i, j)
+    )
     with pytest.raises(FreenessError, match="a\\[\\] a\\[\\]"):
         hs2.decomposables(2)
 

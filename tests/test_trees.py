@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import subprocess
 import sys
 from math import comb
 
@@ -20,6 +21,7 @@ from hopfcalc.trees import (
     parse_forest,
     parse_tree,
 )
+from test_cli import child_env
 from test_span_oracle import unit
 
 DOT = parse_forest("a[]")
@@ -243,17 +245,42 @@ def test_grading_structural_assert():
                 assert all(a < alg.dim(i) and b < alg.dim(n - i) for a, b, _ in terms)
     # a term off the grading must stop the table, also under python -O
     broken = ForestAlgebra()
-    broken.reduced_coproduct_terms = lambda f: {(DOT, DOT): 1}
+    dot = broken._forest_keys(1)[0]
+    broken._coproduct = lambda key: {(dot, dot): 1}
     with pytest.raises(RuntimeError, match="grading"):
         broken.reduced_table(3)
+
+
+GRADING_FAULT = """\
+import sys
+from hopfcalc.trees import ForestAlgebra
+broken = ForestAlgebra()
+dot = broken._forest_keys(1)[0]
+broken._coproduct = lambda key: {(dot, dot): 1}
+try:
+    broken.reduced_table(3)
+except RuntimeError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_grading_assert_under_optimize(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", GRADING_FAULT],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "1 coproduct of 'a[] a[] a[]' breaks the grading at 'a[]' (x) 'a[]'\n"
+    )
 
 
 def test_grading_assert_catches_a_full_degree_left_factor():
     # the left factor is on the position map, but the degrees sum to n + 1
     for n in (2, 3, 4):
         broken = ForestAlgebra()
-        top = broken.basis(n)[-1]
-        broken.reduced_coproduct_terms = lambda f: {(top, DOT): 1}
+        top, dot = broken._forest_keys(n)[-1], broken._forest_keys(1)[0]
+        broken._coproduct = lambda key: {(top, dot): 1}
         with pytest.raises(RuntimeError, match="grading"):
             broken.reduced_table(n)
 
@@ -414,8 +441,40 @@ def test_reduced_table_maps_back_to_reduced_coproduct_terms(degrees, n):
             for i, terms in column.items()
             for a, b, c in terms
         ]
-        want = alg.reduced_coproduct_terms(forest)
+        # the definition's cuts, without the empty and the total cut
+        want = {
+            (left, right): c
+            for (left, right), c in definition_coproduct(forest).items()
+            if left.trees and right.trees
+        }
         assert dict(mapped) == want and len(mapped) == len(want)
+
+
+def product_table(alg: ForestAlgebra, i: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """Index of each product of basis forests, found by position in the basis tuple."""
+    target = alg.basis(i + j)
+    return tuple(tuple(target.index(f * g) for g in alg.basis(j)) for f in alg.basis(i))
+
+
+def test_products_match_forest_concatenation_through_degree_6():
+    alg = ForestAlgebra()
+    for n in range(7):
+        for i in range(n + 1):
+            assert alg.products(i, n - i) == product_table(alg, i, n - i)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    degrees=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    n=st.integers(1, 5),
+)
+def test_products_match_forest_concatenation_random_decorations(degrees, n):
+    decorations = DecorationSet(tuple(zip("abc", degrees)))
+    r = r_from_d(SeriesProfile.make("D", decorations.degree_counts(n)))
+    assume(r.coeff(n) <= 300)
+    alg = ForestAlgebra(decorations)
+    for i in range(n + 1):
+        assert alg.products(i, n - i) == product_table(alg, i, n - i)
 
 
 # ---------------------------------------------------------------------------
