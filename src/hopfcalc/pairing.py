@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 
 from .linalg import RationalMatrix, Subspace, kernel_basis, rank_mod_p, stack_rows
 from .structure import DegreeDecomposition, HopfStructure
-from .trees import Forest
 
 
 class DegenerateBaseForm(ValueError):
@@ -77,10 +76,6 @@ def _validate_base_form(form: RationalMatrix, size: int, n: int) -> None:
         raise DegenerateBaseForm(f"base form at degree {n} is singular")
 
 
-def _split_first_tree(f: Forest) -> tuple[Forest, Forest]:
-    return Forest((f.trees[0],)), Forest(f.trees[1:])
-
-
 def _combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> list[int]:
     """Sum of coeffs[j] * rows[j] over the nonzero coefficients."""
     values = [0] * width
@@ -99,29 +94,24 @@ def _pair_terms(
     return sum(c * left_row[a] * right_row[b] for a, b, c in terms)
 
 
-def _forced_products(state: PairingState, n: int) -> tuple[list[int], RationalMatrix]:
-    """Forced values on the multi-tree basis forests of degree n.
+def _forced_products(state: PairingState, n: int) -> RationalMatrix:
+    """Forced values on the multi-tree basis forests of degree n, in basis order.
 
-    Returns their basis indices k and a matrix whose row for each k (basis
-    forest f = t . rest) holds the pairing of t tensor rest against the
-    reduced coproduct of each degree-n basis forest, evaluated with the
-    already-built lower-degree Gram matrices.
+    The row for a basis forest f = t . rest holds the pairing of t tensor rest
+    against the reduced coproduct of each degree-n basis forest, evaluated
+    with the already-built lower-degree Gram matrices.
     """
     alg = state.structure.algebra
     table = alg.reduced_table(n)
-    multi: list[int] = []
     rows: list[RationalMatrix] = []
-    for k, f in enumerate(alg.basis(n)):
-        if len(f.trees) < 2:
+    for i, a, b in alg.first_trees(n):
+        if i == n:
             continue
-        head, rest = _split_first_tree(f)
-        i = alg.degree(head)
         left, right = state.gram[i], state.gram[n - i]
-        lrow, rrow = left.int_row(alg.index(head)), right.int_row(alg.index(rest))
+        lrow, rrow = left.int_row(a), right.int_row(b)
         values = tuple(_pair_terms(column.get(i, ()), lrow, rrow) for column in table)
-        multi.append(k)
         rows.append(RationalMatrix(1, len(table), values, left.den * right.den))
-    return multi, stack_rows(rows, cols=len(table))
+    return stack_rows(rows, cols=len(table))
 
 
 def _extend_degree(
@@ -137,9 +127,9 @@ def _extend_degree(
     -Y^-1 (H G0 H^T - diag(form, 0)) Y^-T.  No other condition is needed: h
     is primitive, so it vanishes on products, and w pairs with them as forced.
     """
-    multi, forced = _forced_products(state, n)
+    trees, multi = state.structure.coordinates(n)
+    forced = _forced_products(state, n)
     dim = forced.cols
-    trees = sorted(set(range(dim)).difference(multi))
     rows = [[0] * dim for _ in range(dim)]
     for k, row in zip(multi, forced.int_rows()):
         rows[k] = list(row)
@@ -310,7 +300,7 @@ def _certified(state: PairingState, n: int) -> bool:
     g, prim = state.gram[n], state.structure.primitives(n)
     cached = state.certificates.get(n)
     if cached is None or cached[0] != g or cached[1] != prim:
-        cached = (g, prim, _certify(g, prim, *state.structure._coordinates(n)))
+        cached = (g, prim, _certify(g, prim, *state.structure.coordinates(n)))
         state.certificates[n] = cached
     return cached[2]
 
@@ -374,7 +364,7 @@ def check_primitive_orthogonality(state: PairingState, n: int) -> OrthogonalityC
             primitive_dim=primitives.dim,
             passed=primitives.basis.rref()[0] == primitives.basis,
         )
-    _, multi = structure._coordinates(n)
+    _, multi = structure.coordinates(n)
     gram = state.gram[n]
     # the decomposables' unit rows times the Gram are the Gram's rows at those coordinates
     rows = RationalMatrix.from_int_rows([gram.int_row(i) for i in multi], gram.cols, gram.den)

@@ -107,7 +107,7 @@ class HopfStructure:
         if cached is None:
             alg = self.algebra
             hit = {k for i in range(1, n) for row in alg.products(i, n - i) for k in row}
-            _, multi = self._coordinates(n)
+            _, multi = self.coordinates(n)
             if hit != set(multi):
                 first = min(hit.symmetric_difference(multi))
                 raise FreenessError(
@@ -161,7 +161,7 @@ class HopfStructure:
             return cached
         dim = self.algebra.dim(n)
         prim = self.primitives(n)
-        trees, multi = self._coordinates(n)
+        trees, multi = self.coordinates(n)
         order = trees[::-1] + multi[::-1]
         p_rows = prim.basis.int_rows()
         pivots, picks, _ = _echelon(([row[c] for c in order] for row in p_rows), dim)
@@ -187,11 +187,11 @@ class HopfStructure:
         self._decompositions[n] = built
         return built
 
-    def _coordinates(self, n: int) -> tuple[list[int], list[int]]:
+    def coordinates(self, n: int) -> tuple[list[int], list[int]]:
         """Basis indices of degree n: single trees, and forests of two or more trees."""
-        basis = self.algebra.basis(n)
-        trees = [k for k, f in enumerate(basis) if len(f.trees) == 1]
-        multi = [k for k, f in enumerate(basis) if len(f.trees) > 1]
+        split = self.algebra.first_trees(n)
+        trees = [k for k, (i, _, _) in enumerate(split) if i == n]
+        multi = [k for k, (i, _, _) in enumerate(split) if i < n]
         return trees, multi
 
     def degree_report(self, n: int) -> dict:

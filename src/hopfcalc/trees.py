@@ -168,10 +168,10 @@ class ForestAlgebra:
     """Canonical bases and Hopf operations for one decoration set.
 
     Each tree is numbered on first sight, through the graft map from
-    (label, children key) to its number, and a forest is keyed by the tuple of
-    its trees' numbers; the coproduct, the reduced tables and the product
-    tables run on these keys.  ``Tree`` and ``Forest`` objects are built for
-    the public views only.
+    (label, children key) to its number, and its degree is recorded then; a
+    forest is keyed by the tuple of its trees' numbers.  The coproduct, the
+    reduced tables, the product tables and the first-tree split run on these
+    keys.  ``Tree`` and ``Forest`` objects are built for the public views only.
 
     All caches are filled deterministically and published whole, so concurrent
     repeated computation is idempotent.
@@ -179,8 +179,9 @@ class ForestAlgebra:
 
     def __init__(self, decorations: Optional[DecorationSet] = None) -> None:
         self.decorations = decorations if decorations is not None else DecorationSet.default()
-        # per tree number: (label, children key), the Tree and its serialized form
+        # per tree number: (label, children key), degree, the Tree and its serialized form
         self._nodes: list[tuple[str, Key]] = []
+        self._degrees: list[int] = []
         self._tree_objects: list[Tree] = []
         self._codes: list[str] = []
         self._graft: dict[tuple[str, Key], int] = {}
@@ -191,26 +192,22 @@ class ForestAlgebra:
         self._coterms: dict[Key, KeyTerms] = {(): {((), ()): 1}}
         self._tables: dict[int, tuple[TableColumn, ...]] = {}
 
-    # -- degrees ------------------------------------------------------------
-
-    def tree_degree(self, tree: Tree) -> int:
-        return self.decorations.degree_of(tree.decoration) + sum(
-            self.tree_degree(c) for c in tree.children
-        )
-
-    def degree(self, forest: Forest) -> int:
-        return sum(self.tree_degree(t) for t in forest.trees)
-
     # -- enumeration ----------------------------------------------------------
 
     def _intern(self, label: str, children: Key) -> int:
-        """Number of the tree label[children], given on first sight."""
+        """Number of the tree label[children], given on first sight.
+
+        A label outside the decoration set raises KeyError before anything is registered.
+        """
         node = (label, children)
         found = self._graft.get(node)
         if found is None:
+            degrees = self._degrees
+            degree = self.decorations.degree_of(label) + sum(map(degrees.__getitem__, children))
             found = len(self._nodes)
             self._graft[node] = found
             self._nodes.append(node)
+            degrees.append(degree)
             objects = self._tree_objects
             objects.append(Tree(label, tuple(objects[c] for c in children)))
             self._codes.append(f"{label}[{self._code(children)}]")
@@ -272,10 +269,24 @@ class ForestAlgebra:
     def dim(self, n: int) -> int:
         return len(self._forest_keys(n)) if n >= 0 else 0
 
+    def degree(self, forest: Forest) -> int:
+        return sum(map(self._degrees.__getitem__, self._key(forest.trees)))
+
     def index(self, forest: Forest) -> int:
         """Position of a basis forest inside its degree's canonical order."""
         self._forest_keys(self.degree(forest))
         return self._position[self._key(forest.trees)][1]
+
+    def first_trees(self, n: int) -> tuple[tuple[int, int, int], ...]:
+        """Per degree-n basis forest, (i, a, b): its first tree and the rest of it.
+
+        They are basis(i)[a] and basis(n - i)[b]; i == n marks a single tree.  The
+        algebra is free on trees, so the split is unique.
+        """
+        if n < 1:
+            raise ValueError("the first-tree split is graded by degree >= 1")
+        position = self._position
+        return tuple((*position[key[:1]], position[key[1:]][1]) for key in self._forest_keys(n))
 
     def products(self, i: int, j: int) -> tuple[tuple[int, ...], ...]:
         """Row a holds the index of basis(i)[a] * basis(j)[b] in basis(i + j), at b."""
@@ -323,15 +334,6 @@ class ForestAlgebra:
         return {
             (self._forest(left), self._forest(right)): coeff
             for (left, right), coeff in self._coproduct(self._key(forest.trees)).items()
-        }
-
-    def reduced_coproduct_terms(self, forest: Forest) -> PairTerms:
-        if self.degree(forest) == 0:
-            raise DegreeZeroInput("reduced coproduct needs degree >= 1")
-        return {
-            key: coeff
-            for key, coeff in self.coproduct_terms(forest).items()
-            if not key[0].is_unit and not key[1].is_unit
         }
 
     def reduced_table(self, n: int) -> tuple[TableColumn, ...]:

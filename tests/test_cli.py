@@ -296,6 +296,21 @@ def test_pairing_verify_degree_6_digest(capsys, monkeypatch):
     assert digest == "11f66bf5871501cac8d488bd024bf3d3cecfda26e38f91a766029f185ab1ab70"
 
 
+@pytest.mark.parametrize(
+    "command, want",
+    [
+        # perfbench/golden.json's pairing.build.d5 and pairing.adapt.d5
+        ("build", "2b0dcacae471077b1eff0f5da302a206afa827d2a2748b09318f78cc4c6780b7"),
+        ("adapt", "56a2ecb360a018e87144516e0c237c39de70a50648fc22f869057b1b0a180f28"),
+    ],
+)
+def test_pairing_degree_5_digest(capsys, monkeypatch, command, want):
+    monkeypatch.delenv("HOPF_CAP", raising=False)
+    code, out, _ = run_cli(capsys, "pairing", command, "--max-degree", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def test_nck_verify_degree_6_digest(capsys, monkeypatch):
     # perfbench/golden.json's nck.verify.d6
     monkeypatch.delenv("HOPF_CAP", raising=False)

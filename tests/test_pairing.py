@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -47,7 +48,8 @@ def oracle_extend_degree(
     dim = state.structure.algebra.dim(n)
     # structure.decomposables guarantees its rows are the multi-tree unit
     # vectors in basis order, and that core and complement rows live on them
-    multi, forced = _forced_products(state, n)
+    _, multi = state.structure.coordinates(n)
+    forced = _forced_products(state, n)
     core, m_mat = split.core.basis, split.decomposable_complement.basis
     h_mat, w_mat = split.primitive_generators.basis, split.residual.basis
     b_inv = stack_rows([core, m_mat, h_mat, w_mat], cols=dim).inverse()
@@ -100,7 +102,7 @@ def oracle_nondegeneracy(state: PairingState) -> PairingCheck:
 def oracle_orthogonality(state: PairingState, n: int) -> OrthogonalityCheck:
     """Orthogonality by the exact kernel of the Gram rows at the multi-tree forests."""
     structure = state.structure
-    _, multi = structure._coordinates(n)
+    _, multi = structure.coordinates(n)
     gram = state.gram[n]
     rows = RationalMatrix.from_int_rows([gram.int_row(i) for i in multi], gram.cols, gram.den)
     orthogonal = kernel_basis(rows)
@@ -256,6 +258,43 @@ def test_adapt_is_noop_when_core_trivial(state):
         assert adapted.decomposable_complement_rows.to_rows() == (
             split.decomposable_complement.basis_rows()
         )
+
+
+# blocks in the order core, complement, generators, residual
+ZERO_BLOCKS = [(0, 0), (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 3)]
+BLOCK_FAULTS = (
+    [("zero", i, j) for i, j in ZERO_BLOCKS]
+    + [("zero", j, i) for i, j in ZERO_BLOCKS if i != j]
+    + [("identity", 0, 3), ("identity", 3, 0)]
+    + [(kind, b, b) for b in (1, 2) for kind in ("asymmetric", "singular")]
+)
+
+
+@pytest.fixture(scope="module")
+def adapted5(state):
+    return adapt_complement(state, 5)
+
+
+@pytest.mark.parametrize("kind, bi, bj", BLOCK_FAULTS)
+def test_block_pattern_rejects_one_fault(adapted5, kind, bi, bj):
+    assert adapted5.block_pattern_ok()
+    sizes = adapted5.to_json()["block_dims"]
+    assert min(sizes) >= 2  # every block at degree 5 has an off-diagonal entry
+    edges = [sum(sizes[:k]) for k in range(5)]
+    i, j = edges[bi], edges[bj]
+    rows = adapted5.block_gram.to_rows()
+    if kind == "zero":
+        rows[i][edges[bj + 1] - 1] += 1  # first row, last column of the block
+    elif kind == "identity":
+        rows[i][j] += 1
+    elif kind == "asymmetric":
+        rows[i][j + 1] += 1
+    else:
+        # zero the block's first row and column: still symmetric, now singular
+        for k in range(edges[bi], edges[bi + 1]):
+            rows[i][k] = rows[k][j] = 0
+    faulty = dataclasses.replace(adapted5, block_gram=RationalMatrix.from_rows(rows))
+    assert not faulty.block_pattern_ok()
 
 
 def test_fault_injection_zeroed_gram():
@@ -505,7 +544,7 @@ def test_certificate_matches_exact_oracle_under_a_fault(fault, forms, data):
         built.gram[n] = RationalMatrix.from_rows(rows)
     elif fault == "multi-tree-null":
         # a multi-tree forest's unit vector becomes a null vector: P G is unchanged
-        _, multi = built.structure._coordinates(n)
+        _, multi = built.structure.coordinates(n)
         k = data.draw(strategies.sampled_from([k for k in multi if g.at(k, k)]), label="forest")
         built.gram[n] = with_null_vector(g, [int(j == k) for j in range(dim)])
     elif fault == "primitive-null":

@@ -172,6 +172,18 @@ def test_index_rejects_foreign_forest():
         alg.degree(parse_forest("b[]"))
 
 
+def test_coproduct_rejects_a_foreign_letter_and_registers_nothing():
+    alg = ForestAlgebra()
+    # a[] is a valid tree below the foreign root; a second call must not find b[a[]] half-numbered
+    for _ in range(2):
+        with pytest.raises(KeyError, match="'b'"):
+            alg.coproduct_terms(parse_forest("b[a[]]"))
+    fresh = ForestAlgebra()
+    for n in range(1, 4):
+        assert alg.dim(n) == fresh.dim(n)
+        assert alg.basis(n) == fresh.basis(n)
+
+
 # ---------------------------------------------------------------------------
 # product
 
@@ -404,14 +416,22 @@ def test_coassociativity_and_compatibility_random_decorations(degrees, data):
 
 def test_reduced_coproduct_examples():
     alg = ForestAlgebra()
-    assert alg.reduced_coproduct_terms(DOT) == {}
-    assert terms_as_strings(alg.reduced_coproduct_terms(LADDER2)) == {("a[]", "a[]"): 1}
-    assert terms_as_strings(alg.reduced_coproduct_terms(LADDER3)) == {
-        ("a[]", "a[a[]]"): 1,
-        ("a[a[]]", "a[]"): 1,
+
+    def reduced(forest: Forest) -> dict:
+        terms = alg.coproduct_terms(forest).items()
+        return {(l.encode(), r.encode()): c for (l, r), c in terms if l.trees and r.trees}
+
+    assert reduced(DOT) == {}
+    assert reduced(LADDER2) == {("a[]", "a[]"): 1}
+    assert reduced(LADDER3) == {("a[]", "a[a[]]"): 1, ("a[a[]]", "a[]"): 1}
+    # the same terms over basis indices
+    dot, ladder2 = alg.index(DOT), alg.index(LADDER2)
+    assert alg.reduced_table(1)[dot] == {}
+    assert alg.reduced_table(2)[ladder2] == {1: ((dot, dot, 1),)}
+    assert alg.reduced_table(3)[alg.index(LADDER3)] == {
+        1: ((dot, ladder2, 1),),
+        2: ((ladder2, dot, 1),),
     }
-    with pytest.raises(DegreeZeroInput):
-        alg.reduced_coproduct_terms(Forest())
     with pytest.raises(DegreeZeroInput):
         alg.reduced_table(0)
 
@@ -475,6 +495,51 @@ def test_products_match_forest_concatenation_random_decorations(degrees, n):
     alg = ForestAlgebra(decorations)
     for i in range(n + 1):
         assert alg.products(i, n - i) == product_table(alg, i, n - i)
+
+
+def tree_degree(decorations: DecorationSet, tree: Tree) -> int:
+    return decorations.degree_of(tree.decoration) + sum(
+        tree_degree(decorations, c) for c in tree.children
+    )
+
+
+def first_trees_oracle(alg: ForestAlgebra, n: int) -> tuple[tuple[int, int, int], ...]:
+    """(i, a, b) per degree-n basis forest, read off its Forest object by position in the bases."""
+    out = []
+    for f in alg.basis(n):
+        head, rest = Forest(f.trees[:1]), Forest(f.trees[1:])
+        i = tree_degree(alg.decorations, f.trees[0])
+        out.append((i, alg.basis(i).index(head), alg.basis(n - i).index(rest)))
+    return tuple(out)
+
+
+def assert_first_trees_match_forests(alg: ForestAlgebra, n: int) -> None:
+    assert alg.first_trees(n) == first_trees_oracle(alg, n)
+    assert [alg.degree(f) for f in alg.basis(n)] == [n] * alg.dim(n)
+    trees, multi = HopfStructure(alg).coordinates(n)
+    assert trees == [k for k, f in enumerate(alg.basis(n)) if len(f.trees) == 1]
+    assert multi == [k for k, f in enumerate(alg.basis(n)) if len(f.trees) > 1]
+
+
+def test_first_trees_match_forests_through_degree_6():
+    alg = ForestAlgebra()
+    for n in range(1, 7):
+        assert_first_trees_match_forests(alg, n)
+    assert alg.first_trees(2) == ((1, 0, 0), (2, 1, 0))  # dot . dot, then the ladder itself
+    with pytest.raises(ValueError):
+        alg.first_trees(0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    degrees=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    n=st.integers(1, 5),
+)
+def test_first_trees_match_forests_random_decorations(degrees, n):
+    decorations = DecorationSet(tuple(zip("abc", degrees)))
+    r = r_from_d(SeriesProfile.make("D", decorations.degree_counts(n)))
+    assume(r.coeff(n) <= 300)
+    assert_first_trees_match_forests(ForestAlgebra(decorations), n)
 
 
 # ---------------------------------------------------------------------------
