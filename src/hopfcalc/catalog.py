@@ -8,19 +8,22 @@ inversion at import time and round-tripped back as a consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 
+from ._value import Value
 from .series import SeriesProfile, d_from_r, r_from_s, s_from_r
 
 TABLE_ORDER = 8
 
 
-@dataclass(frozen=True)
-class AlgebraCatalogEntry:
+class AlgebraCatalogEntry(Value):
+    __slots__ = ("name", "r_coeffs", "source")
     name: str
     r_coeffs: tuple[int, ...]
     source: str
+
+    def __init__(self, name: str, r_coeffs: tuple[int, ...], source: str) -> None:
+        super().__init__(name, r_coeffs, source)
 
     def r_series(self) -> SeriesProfile:
         return SeriesProfile.make("R", self.r_coeffs)

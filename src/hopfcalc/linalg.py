@@ -25,11 +25,12 @@ certificates that fall back to the exact routines when it comes up short.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
+
+from ._value import Value
 
 
 class AmbientMismatch(ValueError):
@@ -46,37 +47,34 @@ def _clear(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(Value):
     """Matrix of the rationals ``num[i * cols + j] / den``.
 
     ``den`` is positive and shares no factor with every numerator; input that
     does is divided through on construction.
     """
 
+    __slots__ = ("rows", "cols", "num", "den")
     rows: int
     cols: int
     num: tuple[int, ...]  # row-major
-    den: int = 1
+    den: int
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, num: Iterable[int], den: int = 1) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        num = tuple(self.num)
-        if len(num) != self.rows * self.cols:
-            raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
-                f"got {len(num)}"
-            )
+        num = tuple(num)
+        if len(num) != rows * cols:
+            raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(num)}")
         if not set(map(type, num)) <= {int}:
             raise ValueError("numerators must be integers")
-        if type(self.den) is not int or self.den <= 0:
-            raise ValueError(f"denominator must be a positive integer, got {self.den!r}")
-        g = gcd(self.den, *num)
+        if type(den) is not int or den <= 0:
+            raise ValueError(f"denominator must be a positive integer, got {den!r}")
+        g = gcd(den, *num)
         if g > 1:
             num = tuple(x // g for x in num)
-            object.__setattr__(self, "den", self.den // g)
-        object.__setattr__(self, "num", num)
+            den //= g
+        super().__init__(rows, cols, num, den)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int]], cols: Optional[int] = None) -> RationalMatrix:
@@ -285,18 +283,19 @@ def _rref(rows: Iterable[Sequence[int]], cols: int) -> tuple[RationalMatrix, tup
 # subspaces
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """A linear subspace stored via its unique reduced row-echelon basis."""
 
+    __slots__ = ("ambient_dim", "basis")
     ambient_dim: int
     basis: RationalMatrix
 
-    def __post_init__(self) -> None:
-        if self.basis.cols != self.ambient_dim:
+    def __init__(self, ambient_dim: int, basis: RationalMatrix) -> None:
+        if basis.cols != ambient_dim:
             raise AmbientMismatch(
-                f"basis rows of length {self.basis.cols} in ambient dimension {self.ambient_dim}"
+                f"basis rows of length {basis.cols} in ambient dimension {ambient_dim}"
             )
+        super().__init__(ambient_dim, basis)
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Sequence[Sequence[Fraction | int]]) -> Subspace:

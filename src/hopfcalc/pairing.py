@@ -19,10 +19,10 @@ the exact determinant or kernel decides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._value import Value
 from .linalg import RationalMatrix, Subspace, kernel_basis, rank_mod_p, stack_rows
 from .structure import DegreeDecomposition, HopfStructure
 
@@ -31,18 +31,34 @@ class DegenerateBaseForm(ValueError):
     """Raised when a requested base form block is singular."""
 
 
-@dataclass
-class PairingState:
-    """Per-degree Gram matrices of the pairing over canonical forest bases."""
+class PairingState(Value):
+    """Per-degree Gram matrices of the pairing over canonical forest bases.
 
+    Unlike the other records it is mutable and unhashable.
+    """
+
+    __slots__ = ("structure", "max_degree", "base_form", "gram", "certificates")
+    _hidden = ("certificates",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
     structure: HopfStructure
     max_degree: int
     base_form: dict[int, RationalMatrix]
     gram: dict[int, RationalMatrix]
     # per degree: the Gram and primitives a certificate read, and its verdict
-    certificates: dict[int, tuple[RationalMatrix, Subspace, bool]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    certificates: dict[int, tuple[RationalMatrix, Subspace, bool]]
+
+    def __init__(
+        self,
+        structure: HopfStructure,
+        max_degree: int,
+        base_form: dict[int, RationalMatrix],
+        gram: dict[int, RationalMatrix],
+        certificates: Optional[dict[int, tuple[RationalMatrix, Subspace, bool]]] = None,
+    ) -> None:
+        certificates = {} if certificates is None else certificates
+        super().__init__(structure, max_degree, base_form, gram, certificates)
 
     def generator_block(self, n: int) -> RationalMatrix:
         """Gram restricted to the primitive-generator basis H of degree n: H G H^T.
@@ -181,20 +197,26 @@ def build_pairing(
 # verification
 
 
-@dataclass(frozen=True)
-class PairingCheck:
+class PairingCheck(Value):
+    __slots__ = ("name", "passed", "counterexample")
     name: str
     passed: bool
-    counterexample: Optional[dict] = None
+    counterexample: Optional[dict]
+
+    def __init__(self, name: str, passed: bool, counterexample: Optional[dict] = None) -> None:
+        super().__init__(name, passed, counterexample)
 
     def to_json(self) -> dict:
         return {"check": self.name, "pass": self.passed, "counterexample": self.counterexample}
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(Value):
+    __slots__ = ("max_degree", "checks")
     max_degree: int
     checks: tuple[PairingCheck, ...]
+
+    def __init__(self, max_degree: int, checks: tuple[PairingCheck, ...]) -> None:
+        super().__init__(max_degree, checks)
 
     @property
     def passed(self) -> bool:
@@ -332,14 +354,17 @@ def _certify(g: RationalMatrix, prim: Subspace, trees: list[int], multi: list[in
     )
 
 
-@dataclass(frozen=True)
-class OrthogonalityCheck:
+class OrthogonalityCheck(Value):
     """Gram-orthogonal of the decomposables against the primitives."""
 
+    __slots__ = ("degree", "orthogonal_dim", "primitive_dim", "passed")
     degree: int
     orthogonal_dim: int
     primitive_dim: int
     passed: bool
+
+    def __init__(self, degree: int, orthogonal_dim: int, primitive_dim: int, passed: bool) -> None:
+        super().__init__(degree, orthogonal_dim, primitive_dim, passed)
 
     def to_json(self) -> dict:
         return {
@@ -381,8 +406,7 @@ def check_primitive_orthogonality(state: PairingState, n: int) -> OrthogonalityC
 # basis adaptation
 
 
-@dataclass(frozen=True)
-class AdaptedBasis:
+class AdaptedBasis(Value):
     """Ordered block bases whose Gram matrix takes the split block form.
 
     Stacking core, decomposable_complement, primitive_generators, residual
@@ -392,12 +416,38 @@ class AdaptedBasis:
     the normalization.
     """
 
+    __slots__ = (
+        "degree",
+        "core_rows",
+        "decomposable_complement_rows",
+        "primitive_generator_rows",
+        "residual_rows",
+        "block_gram",
+    )
     degree: int
     core_rows: RationalMatrix
     decomposable_complement_rows: RationalMatrix
     primitive_generator_rows: RationalMatrix
     residual_rows: RationalMatrix
     block_gram: RationalMatrix
+
+    def __init__(
+        self,
+        degree: int,
+        core_rows: RationalMatrix,
+        decomposable_complement_rows: RationalMatrix,
+        primitive_generator_rows: RationalMatrix,
+        residual_rows: RationalMatrix,
+        block_gram: RationalMatrix,
+    ) -> None:
+        super().__init__(
+            degree,
+            core_rows,
+            decomposable_complement_rows,
+            primitive_generator_rows,
+            residual_rows,
+            block_gram,
+        )
 
     def stacked(self) -> RationalMatrix:
         return stack_rows(

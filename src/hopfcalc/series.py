@@ -19,9 +19,10 @@ where a coefficient is not integral.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
+
+from ._value import Value
 
 Coefficient = Union[int, Fraction, str]
 
@@ -35,28 +36,28 @@ class NonIntegerExponent(ValueError):
     """A product (1-h^n)^{p_n} was requested with a non-integer exponent."""
 
 
-@dataclass(frozen=True)
-class SeriesProfile:
+class SeriesProfile(Value):
     """A truncated series of one of the four kinds, coefficients for h^1..h^order."""
 
+    __slots__ = ("kind", "order", "coeffs")
     kind: str
     order: int
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown series kind {self.kind!r}, expected one of {KINDS}")
-        if isinstance(self.order, bool) or not isinstance(self.order, int):
-            raise ValueError(f"order must be an int, got {self.order!r}")
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        for c in self.coeffs:
+    def __init__(self, kind: str, order: int, coeffs: Sequence[Coefficient]) -> None:
+        if kind not in KINDS:
+            raise ValueError(f"unknown series kind {kind!r}, expected one of {KINDS}")
+        if isinstance(order, bool) or not isinstance(order, int):
+            raise ValueError(f"order must be an int, got {order!r}")
+        if order < 1:
+            raise ValueError(f"order must be >= 1, got {order}")
+        for c in coeffs:
             if isinstance(c, (float, bool)):
                 raise ValueError(f"coefficient {c!r} is not an int, Fraction or fraction string")
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        if len(coeffs) != self.order:
-            raise ValueError(f"expected {self.order} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "coeffs", coeffs)
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if len(coeffs) != order:
+            raise ValueError(f"expected {order} coefficients, got {len(coeffs)}")
+        super().__init__(kind, order, coeffs)
 
     @classmethod
     def make(cls, kind: str, coeffs: Iterable[Coefficient]) -> SeriesProfile:
@@ -92,17 +93,22 @@ class SeriesProfile:
         return [_CONSTANT_TERM[self.kind], *tail]
 
 
-@dataclass(frozen=True)
-class GateVerdict:
+class GateVerdict(Value):
     """Outcome of a realizability gate.
 
     ``witness`` is the offending coefficient at ``first_failure`` when the gate
     fails; both are None on a pass.
     """
 
+    __slots__ = ("passed", "first_failure", "witness")
     passed: bool
-    first_failure: Optional[int] = None
-    witness: Optional[Fraction] = None
+    first_failure: Optional[int]
+    witness: Optional[Fraction]
+
+    def __init__(
+        self, passed: bool, first_failure: Optional[int] = None, witness: Optional[Fraction] = None
+    ) -> None:
+        super().__init__(passed, first_failure, witness)
 
     def to_json(self) -> dict:
         return {

@@ -10,8 +10,7 @@ structure at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .linalg import RationalMatrix, Subspace, _echelon, kernel_basis
 from .trees import ForestAlgebra
 
@@ -20,8 +19,7 @@ class FreenessError(RuntimeError):
     """Products of lower degrees do not span exactly the multi-tree forests."""
 
 
-@dataclass(frozen=True)
-class DegreeDecomposition:
+class DegreeDecomposition(Value):
     """Four-block splitting of one graded piece.
 
     core = primitives ∩ decomposables.  The three complements satisfy
@@ -31,6 +29,15 @@ class DegreeDecomposition:
     core.
     """
 
+    __slots__ = (
+        "degree",
+        "primitives",
+        "decomposables",
+        "core",
+        "decomposable_complement",
+        "primitive_generators",
+        "residual",
+    )
     degree: int
     primitives: Subspace
     decomposables: Subspace
@@ -38,6 +45,26 @@ class DegreeDecomposition:
     decomposable_complement: Subspace
     primitive_generators: Subspace
     residual: Subspace
+
+    def __init__(
+        self,
+        degree: int,
+        primitives: Subspace,
+        decomposables: Subspace,
+        core: Subspace,
+        decomposable_complement: Subspace,
+        primitive_generators: Subspace,
+        residual: Subspace,
+    ) -> None:
+        super().__init__(
+            degree,
+            primitives,
+            decomposables,
+            core,
+            decomposable_complement,
+            primitive_generators,
+            residual,
+        )
 
     def dims(self) -> dict[str, int]:
         return {

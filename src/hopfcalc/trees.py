@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
+
+from ._value import Value
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TREE_START_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\[")
@@ -38,14 +39,14 @@ class DegreeZeroInput(ValueError):
     """A reduced coproduct was requested for the degree-0 component."""
 
 
-@dataclass(frozen=True)
-class DecorationSet:
+class DecorationSet(Value):
     """Graded alphabet of vertex decorations; labels distinct, degrees >= 1."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[str, int], ...]
 
-    def __post_init__(self) -> None:
-        entries = tuple((label, degree) for label, degree in self.entries)
+    def __init__(self, entries: Iterable[tuple[str, int]]) -> None:
+        entries = tuple((label, degree) for label, degree in entries)
         if not entries:
             raise ValueError("decoration set must not be empty")
         for label, degree in entries:
@@ -58,7 +59,7 @@ class DecorationSet:
         labels = [label for label, _ in entries]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate decoration labels in {labels}")
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries)
 
     @classmethod
     def default(cls) -> DecorationSet:
@@ -98,18 +99,24 @@ class DecorationSet:
         return counts
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(Value):
+    __slots__ = ("decoration", "children")
     decoration: str
-    children: tuple[Tree, ...] = ()
+    children: tuple[Tree, ...]
+
+    def __init__(self, decoration: str, children: tuple[Tree, ...] = ()) -> None:
+        super().__init__(decoration, children)
 
     def encode(self) -> str:
         return f"{self.decoration}[{' '.join(c.encode() for c in self.children)}]"
 
 
-@dataclass(frozen=True)
-class Forest:
-    trees: tuple[Tree, ...] = ()
+class Forest(Value):
+    __slots__ = ("trees",)
+    trees: tuple[Tree, ...]
+
+    def __init__(self, trees: tuple[Tree, ...] = ()) -> None:
+        super().__init__(trees)
 
     def encode(self) -> str:
         return " ".join(t.encode() for t in self.trees) if self.trees else "1"

@@ -199,7 +199,8 @@ def test_nck_rejects_non_integer_degree(tmp_path, capsys, monkeypatch, degree):
     assert (code, out) == (2, "") and "degree" in err
 
 
-@pytest.mark.parametrize("label", ["null", "true", '["a"]'])
+# JSON non-strings, then strings that are not ASCII identifiers (the last is é)
+@pytest.mark.parametrize("label", ["null", "true", '["a"]', '"a-b"', '"1a"', '"\\u00e9"'])
 def test_nck_rejects_non_string_label(tmp_path, capsys, monkeypatch, label):
     monkeypatch.delenv("HOPF_CAP", raising=False)
     path = write(tmp_path, "dec.json", f'[{{"label": {label}, "degree": 1}}]')
@@ -435,6 +436,8 @@ def test_pairing_verify_under_optimize(tmp_path):
 
 
 TREE_LAYERS = {"hopfcalc.linalg", "hopfcalc.pairing", "hopfcalc.structure", "hopfcalc.trees"}
+# the standard library's record generator and what it imports: tens of ms per process
+RECORD_MACHINERY = {"dataclasses", "inspect"}
 
 
 def imported(stderr: str) -> set[str]:
@@ -462,17 +465,20 @@ def test_series_commands_leave_the_tree_layers_unloaded(tmp_path, argv):
     loaded = imported(proc.stderr)
     assert {"hopfcalc.catalog", "hopfcalc.series"} <= loaded
     assert not loaded & TREE_LAYERS
+    assert not loaded & RECORD_MACHINERY
 
 
 def test_tree_commands_load_their_layers(tmp_path):
     proc = console_script(tmp_path, "nck", "dims", "--max-degree", "2", flags=("-X", "importtime"))
     assert proc.returncode == 0, proc.stderr
     assert TREE_LAYERS - imported(proc.stderr) == {"hopfcalc.pairing"}
+    assert not imported(proc.stderr) & RECORD_MACHINERY
     proc = console_script(
         tmp_path, "pairing", "build", "--max-degree", "2", flags=("-X", "importtime")
     )
     assert proc.returncode == 0, proc.stderr
     assert TREE_LAYERS <= imported(proc.stderr)
+    assert not imported(proc.stderr) & RECORD_MACHINERY
 
 
 def test_package_import_loads_catalog_and_series_only(tmp_path):
@@ -488,6 +494,7 @@ def test_package_import_loads_catalog_and_series_only(tmp_path):
     loaded = imported(proc.stderr)
     assert {"hopfcalc.catalog", "hopfcalc.series"} <= loaded
     assert not loaded & TREE_LAYERS
+    assert not loaded & RECORD_MACHINERY
 
 
 def test_python_dash_m(tmp_path):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -293,7 +292,14 @@ def test_block_pattern_rejects_one_fault(adapted5, kind, bi, bj):
         # zero the block's first row and column: still symmetric, now singular
         for k in range(edges[bi], edges[bi + 1]):
             rows[i][k] = rows[k][j] = 0
-    faulty = dataclasses.replace(adapted5, block_gram=RationalMatrix.from_rows(rows))
+    faulty = AdaptedBasis(
+        adapted5.degree,
+        adapted5.core_rows,
+        adapted5.decomposable_complement_rows,
+        adapted5.primitive_generator_rows,
+        adapted5.residual_rows,
+        block_gram=RationalMatrix.from_rows(rows),
+    )
     assert not faulty.block_pattern_ok()
 
 
