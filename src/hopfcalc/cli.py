@@ -148,10 +148,8 @@ def cmd_nck(args: argparse.Namespace) -> int:
         _emit(payload)
         return 0
     reports = [structure.degree_report(n) for n in range(1, top + 1)]
-    ok = all(
-        r["primitive_count_ok"] and r["residual_matches_core"] and r.get("bracket_matches_core", True)
-        for r in reports
-    )
+    # every boolean of a report is a check, named by structure.degree_report alone
+    ok = all(v for r in reports for v in r.values() if isinstance(v, bool))
     _emit({"max_degree": top, "pass": ok, "reports": reports})
     return 0 if ok else 1
 

@@ -4,7 +4,10 @@ A :class:`RationalMatrix` stores int numerators, row-major, over one positive
 common denominator kept in lowest terms, so equal matrices have equal fields.
 Products, differences, transposes and symmetry checks run in ``int``;
 ``Fraction`` values appear only in the views (``entries``, ``row``, ``at``,
-``to_rows``) and in the scalar results of ``det`` and ``apply``.
+``to_rows``) and in the scalar results of ``det`` and ``apply``.  The one
+product, ``@``, walks the left operand's nonzeros: each row of A B sums B's
+rows at that row's nonzeros, so a sparse block basis times a Gram costs its
+nonzeros, not its width.
 
 Every exact elimination goes through one fraction-free echelon, ``_echelon``:
 integer rows are reduced in turn against the pivot rows found so far, by
@@ -133,9 +136,14 @@ class RationalMatrix(Value):
     def __matmul__(self, other: RationalMatrix) -> RationalMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        c = other.cols
-        columns = [other.num[j::c] for j in range(c)]
-        flat = tuple(sum(map(mul, row, col)) for row in self.int_rows() for col in columns)
+        c, rows = other.cols, other.int_rows()
+        flat: list[int] = []
+        for row in self.int_rows():
+            values = [0] * c
+            for j, x in enumerate(row):
+                if x:
+                    values = [v + x * y for v, y in zip(values, rows[j])]
+            flat.extend(values)
         return RationalMatrix(self.rows, c, flat, self.den * other.den)
 
     def __sub__(self, other: RationalMatrix) -> RationalMatrix:

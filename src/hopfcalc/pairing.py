@@ -63,16 +63,10 @@ class PairingState(Value):
     def generator_block(self, n: int) -> RationalMatrix:
         """Gram restricted to the primitive-generator basis H of degree n: H G H^T.
 
-        Both products walk the nonzeros of H's rows only.
+        The first product walks the nonzeros of H's sparse rows.
         """
-        h_mat, g = self.structure.decomposition(n).primitive_generators.basis, self.gram[n]
-        h_rows, g_rows = h_mat.int_rows(), g.int_rows()
-        supports = [[(j, x) for j, x in enumerate(row) if x] for row in h_rows]
-        flat = []
-        for h_row in h_rows:
-            hg = _combine(h_row, g_rows, g.cols)
-            flat.extend(sum(x * hg[j] for j, x in support) for support in supports)
-        return RationalMatrix(h_mat.rows, h_mat.rows, tuple(flat), h_mat.den * g.den * h_mat.den)
+        h = self.structure.decomposition(n).primitive_generators.basis
+        return h @ self.gram[n] @ h.transpose()
 
     def gram_json(self) -> dict:
         return {
@@ -90,15 +84,6 @@ def _validate_base_form(form: RationalMatrix, size: int, n: int) -> None:
         raise ValueError(f"base form at degree {n} is not symmetric")
     if size and form.det() == 0:
         raise DegenerateBaseForm(f"base form at degree {n} is singular")
-
-
-def _combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> list[int]:
-    """Sum of coeffs[j] * rows[j] over the nonzero coefficients."""
-    values = [0] * width
-    for j, x in enumerate(coeffs):
-        if x:
-            values = [v + x * y for v, y in zip(values, rows[j])]
-    return values
 
 
 def _pair_terms(
@@ -339,18 +324,15 @@ def _certify(g: RationalMatrix, prim: Subspace, trees: list[int], multi: list[in
     """
     if prim.ambient_dim != g.cols or not g.is_symmetric():
         return False
-    rows = g.int_rows()
     on_trees = []
-    for p_row in prim.basis.int_rows():
-        # row i of P G sums G's rows at P_i's nonzeros; as G is symmetric, its multi-tree
-        # columns are column i of M P^T
-        values = _combine(p_row, rows, g.cols)
+    # as G is symmetric, the multi-tree columns of P G are M P^T transposed
+    for values in (prim.basis @ g).int_rows():
         if any(values[c] for c in multi):
             return False
         on_trees.append([values[c] for c in trees])
     return (
         rank_mod_p(on_trees) == prim.dim
-        and rank_mod_p(rows[k] for k in multi) == g.cols - prim.dim
+        and rank_mod_p(g.int_row(k) for k in multi) == g.cols - prim.dim
     )
 
 
@@ -379,7 +361,8 @@ class OrthogonalityCheck(Value):
 def check_primitive_orthogonality(state: PairingState, n: int) -> OrthogonalityCheck:
     """The pairing-orthogonal of the decomposables must be the primitives."""
     structure = state.structure
-    structure.decomposables(n)  # raises FreenessError unless they are the multi-tree coordinates
+    # raises FreenessError unless they are the multi-tree coordinates
+    decomposables = structure.decomposables(n)
     primitives = structure.primitives(n)
     if _certified(state, n):
         # the kernel is span P, and its canonical basis is P's reduced row-echelon form
@@ -389,11 +372,7 @@ def check_primitive_orthogonality(state: PairingState, n: int) -> OrthogonalityC
             primitive_dim=primitives.dim,
             passed=primitives.basis.rref()[0] == primitives.basis,
         )
-    _, multi = structure.coordinates(n)
-    gram = state.gram[n]
-    # the decomposables' unit rows times the Gram are the Gram's rows at those coordinates
-    rows = RationalMatrix.from_int_rows([gram.int_row(i) for i in multi], gram.cols, gram.den)
-    orthogonal = kernel_basis(rows)
+    orthogonal = kernel_basis(decomposables.basis @ state.gram[n])
     return OrthogonalityCheck(
         degree=n,
         orthogonal_dim=orthogonal.dim,

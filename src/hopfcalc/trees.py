@@ -51,7 +51,8 @@ class DecorationSet(Value):
             raise ValueError("decoration set must not be empty")
         for label, degree in entries:
             if not isinstance(label, str) or not _LABEL_RE.match(label):
-                raise ValueError(f"bad decoration label {label!r} (word characters only)")
+                rule = "an ASCII letter or underscore, then ASCII letters, digits or underscores"
+                raise ValueError(f"bad decoration label {label!r} ({rule})")
             if isinstance(degree, bool) or not isinstance(degree, int):
                 raise ValueError(f"decoration degree {degree!r} is not an integer")
             if degree < 1:

@@ -206,6 +206,8 @@ def test_nck_rejects_non_string_label(tmp_path, capsys, monkeypatch, label):
     path = write(tmp_path, "dec.json", f'[{{"label": {label}, "degree": 1}}]')
     code, out, err = run_cli(capsys, "nck", "dims", "--max-degree", "2", "--decorations", path)
     assert (code, out) == (2, "") and "label" in err
+    # the message states the rule, which `1a` and `é` break although both are word characters
+    assert "(an ASCII letter or underscore, then ASCII letters, digits or underscores)" in err
 
 
 def test_nck_verify(capsys, monkeypatch):
@@ -216,6 +218,21 @@ def test_nck_verify(capsys, monkeypatch):
     assert payload["pass"] is True
     assert [r["degree"] for r in payload["reports"]] == [1, 2, 3, 4]
     assert all(r["primitive_count_ok"] for r in payload["reports"])
+
+
+def test_nck_verify_fails_on_any_false_flag(capsys, monkeypatch):
+    from hopfcalc.structure import HopfStructure
+
+    monkeypatch.delenv("HOPF_CAP", raising=False)
+    report = HopfStructure.degree_report
+    monkeypatch.setattr(
+        HopfStructure, "degree_report", lambda self, n: {**report(self, n), "extra_ok": n != 2}
+    )
+    code, out, _ = run_cli(capsys, "nck", "verify", "--max-degree", "3")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    assert [r["extra_ok"] for r in payload["reports"]] == [True, False, True]
 
 
 def test_nck_caps(capsys, monkeypatch):

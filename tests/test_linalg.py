@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hopfcalc.linalg import (
     AmbientMismatch,
@@ -113,6 +115,42 @@ def test_matmul_and_apply():
     assert a.apply([1, 1]) == (3, 7)
     with pytest.raises(ValueError):
         a.apply([1, 2, 3])
+
+
+@st.composite
+def matmul_operands(draw) -> tuple[RationalMatrix, RationalMatrix]:
+    """Two conformable matrices whose rows are all zero, all nonzero or mixed."""
+    nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+    entry = st.one_of(st.just(Fraction(0)), nonzero)
+
+    def matrix(rows: int, cols: int) -> RationalMatrix:
+        row = st.one_of(
+            st.just([Fraction(0)] * cols),
+            st.lists(nonzero, min_size=cols, max_size=cols),
+            st.lists(entry, min_size=cols, max_size=cols),
+        )
+        return M(draw(st.lists(row, min_size=rows, max_size=rows)), cols=cols)
+
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    return matrix(rows, inner), matrix(inner, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matmul_operands())
+@example((M([], cols=3), M([[1, 2], [3, 4], [5, 6]])))  # no rows
+@example((M([[1, 2], [3, 4]]), M([[], []], cols=0)))  # no columns
+@example((M([[], []], cols=0), M([], cols=3)))  # inner dimension 0
+@example((M([[0, 0], [Fraction(1, 2), Fraction(-2, 3)]]), M([[Fraction(3, 4), 5], [0, Fraction(1, 7)]])))
+def test_matmul_matches_fraction_triple_loop(operands):
+    a, b = operands
+    x, y = a.to_rows(), b.to_rows()
+    want = [
+        [sum((x[i][k] * y[k][j] for k in range(a.cols)), Fraction(0)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+    product = a @ b
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert product.to_rows() == want
 
 
 def test_rref_canonical_and_deterministic():

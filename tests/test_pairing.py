@@ -175,9 +175,15 @@ def test_restriction_equals_base_form(state):
 
 
 def dense_generator_block(state: PairingState, n: int) -> RationalMatrix:
-    """H G H^T as two dense products, H the primitive-generator rows."""
-    h = state.structure.decomposition(n).primitive_generators.basis
-    return h @ state.gram[n] @ h.transpose()
+    """H G H^T by Fraction loops over the entries, H the primitive-generator rows."""
+    h = state.structure.decomposition(n).primitive_generators.basis_rows()
+    g = state.gram[n].to_rows()
+    hg = [
+        [sum((x * row[j] for x, row in zip(hr, g)), Fraction(0)) for j in range(len(g))]
+        for hr in h
+    ]
+    block = [[sum((x * y for x, y in zip(r, hr)), Fraction(0)) for hr in h] for r in hg]
+    return RationalMatrix.from_rows(block, cols=len(h))
 
 
 def test_generator_block_matches_dense_products(state):
