@@ -23,6 +23,9 @@ subspace equality is value equality.
 ``rank_mod_p`` is the one elimination outside the rationals: the rank modulo
 a fixed prime, a lower bound for the rank over the rationals, for
 certificates that fall back to the exact routines when it comes up short.
+It packs each row into one int, a residue per 80-bit slot, so a reduction
+step is one big-integer multiply-add and the reduction modulo the prime
+waits until the row is unpacked to find its lead.
 """
 
 from __future__ import annotations
@@ -336,29 +339,58 @@ class Subspace(Value):
 PRIME = 1073741789
 
 
+# a packed row keeps one residue per slot of this many bits, ten bytes
+_SLOT = 80
+# the most pivot rows a packed row is reduced against; see rank_mod_p
+_MAX_PIVOTS = 1 << 19
+
+
 def rank_mod_p(rows: Iterable[Sequence[int]]) -> int:
     """Rank of integer rows reduced modulo ``PRIME``.
 
     A minor that is nonzero modulo the prime is nonzero over the integers, so
     this never exceeds the rank over the rationals.  Each row is reduced
-    against the pivot rows found so far, by increasing leading column, and
-    only from that column on; pivot rows are scaled to lead with 1.
+    against the pivot rows found so far, by increasing leading column.
+
+    Rows are packed: one int holds the residue of column j in its 80-bit slot
+    j.  A pivot row is scaled to lead with 1 and holds p - y, reduced modulo
+    p, for each of its residues y, so clearing a column whose slot holds a
+    modulo p is the one multiply-add ``v += a * pivot``.  Slots never go
+    negative, and their reduction modulo p waits until the row is unpacked,
+    once, to find its lead.  A slot starts below p and each step adds at most
+    (p - 1)^2, so after k steps it holds less than p + k (p - 1)^2 <
+    2^30 + k 2^60.  That is below 2^80 for k <= 2^19, so no slot carries into
+    the next while a row meets at most 2^19 pivots; the function raises
+    rather than reduce a row against more.
     """
-    p = PRIME
-    pivots: dict[int, list[int]] = {}  # by leading column; each row starts there
+    p, slot = PRIME, _SLOT
+    mask, size = (1 << slot) - 1, slot // 8
+    pivots: dict[int, int] = {}  # packed, by leading column
     leads: list[int] = []  # sorted
     for row in rows:
-        v = [x % p for x in row]
+        if len(leads) > _MAX_PIVOTS:
+            raise OverflowError(f"packed rows meet at most {_MAX_PIVOTS} pivots")
+        residues = [x % p for x in row]
+        v = _pack(residues, size)
         for col in leads:
-            a = v[col]
+            a = (v >> col * slot & mask) % p
             if a:
-                v[col:] = [(x - a * y) % p for x, y in zip(v[col:], pivots[col])]
-        lead = next((j for j, x in enumerate(v) if x), None)
+                v += a * pivots[col]
+        packed = v.to_bytes(len(residues) * size, "little")
+        residues = [
+            int.from_bytes(packed[i : i + size], "little") % p for i in range(0, len(packed), size)
+        ]
+        lead = next((j for j, x in enumerate(residues) if x), None)
         if lead is not None:
-            inv = pow(v[lead], -1, p)
-            pivots[lead] = [x * inv % p for x in v[lead:]]
+            scale = p - pow(residues[lead], -1, p)
+            pivots[lead] = _pack([x * scale % p for x in residues], size)
             insort(leads, lead)
     return len(leads)
+
+
+def _pack(values: Sequence[int], size: int) -> int:
+    """One int holding values[j] in bytes j * size onward; each value fits in size bytes."""
+    return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in values), "little")
 
 
 def kernel_basis(m: RationalMatrix) -> Subspace:

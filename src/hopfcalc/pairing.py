@@ -11,6 +11,13 @@ Gram row at a forest of two or more trees, and symmetry their transposes.
 Each degree therefore reduces to one exact solve for its tree x tree block,
 through the generators' square block on the tree coordinates.
 
+The forced values and the multiplicativity check read the same contraction:
+for degrees i and n - i, the reduced table is folded into the columns of the
+larger lower Gram and summed by the rows of the smaller one, which gives the
+pairing of x tensor y against every reduced coproduct for all x and y at
+once.  The check compares those values with the degree-n Gram whole, block by
+block, and scans entry by entry only a block that fails.
+
 Verification proves each Gram nondegenerate, and the primitives the kernel of
 its rows at the multi-tree forests, by one certificate per degree: an exact
 product and two ranks modulo a prime.  Where the certificate falls short,
@@ -20,6 +27,7 @@ the exact determinant or kernel decides.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from ._value import Value
@@ -86,13 +94,38 @@ def _validate_base_form(form: RationalMatrix, size: int, n: int) -> None:
         raise DegenerateBaseForm(f"base form at degree {n} is singular")
 
 
-def _pair_terms(
-    terms: Sequence[tuple[int, int, int]],
-    left_row: Sequence[int],
-    right_row: Sequence[int],
-) -> int:
-    """Sum of c * left_row[a] * right_row[b] over reduced-table terms (a, b, c)."""
-    return sum(c * left_row[a] * right_row[b] for a, b, c in terms)
+def _contract(
+    terms: Sequence[Sequence[tuple[int, int, int]]], left: RationalMatrix, right: RationalMatrix
+) -> list[list[tuple[int, ...]]]:
+    """Sum of c * left[x][a] * right[y][b] over the reduced-table terms (a, b, c) of each z.
+
+    Entry [x][y] holds the numerators over left.den * right.den, one per z, for
+    every row x of left and y of right.  The terms are folded into the columns
+    of the larger Gram first, one row per index of the smaller one; the
+    product by the smaller Gram then sums those rows.
+    """
+    swap = left.rows > right.rows
+    small, large = (right, left) if swap else (left, right)
+    n, width = large.rows, len(terms) * large.rows
+    columns = list(zip(*large.int_rows()))
+    folded = [0] * (small.cols * width)
+    for z, zterms in enumerate(terms):
+        for a, b, c in zterms:
+            lo = (b if swap else a) * width + z * n
+            column = columns[a if swap else b]
+            folded[lo : lo + n] = [v + c * w for v, w in zip(folded[lo : lo + n], column)]
+    # by row of the smaller Gram: over z, then over the rows of the larger one
+    flat = (
+        RationalMatrix(small.rows, small.cols, small.num)
+        @ RationalMatrix(small.cols, width, folded)
+    ).num
+
+    def over_z(s: int, r: int) -> tuple[int, ...]:
+        return flat[s * width + r : (s + 1) * width : n]
+
+    if swap:
+        return [[over_z(y, x) for y in range(small.rows)] for x in range(n)]
+    return [[over_z(x, y) for y in range(n)] for x in range(small.rows)]
 
 
 def _forced_products(state: PairingState, n: int) -> RationalMatrix:
@@ -100,19 +133,22 @@ def _forced_products(state: PairingState, n: int) -> RationalMatrix:
 
     The row for a basis forest f = t . rest holds the pairing of t tensor rest
     against the reduced coproduct of each degree-n basis forest, evaluated
-    with the already-built lower-degree Gram matrices.
+    with the already-built lower-degree Gram matrices.  The rows are read one
+    first-tree degree at a time, so that one contraction is held at once.
     """
     alg = state.structure.algebra
     table = alg.reduced_table(n)
-    rows: list[RationalMatrix] = []
-    for i, a, b in alg.first_trees(n):
-        if i == n:
-            continue
-        left, right = state.gram[i], state.gram[n - i]
-        lrow, rrow = left.int_row(a), right.int_row(b)
-        values = tuple(_pair_terms(column.get(i, ()), lrow, rrow) for column in table)
-        rows.append(RationalMatrix(1, len(table), values, left.den * right.den))
-    return stack_rows(rows, cols=len(table))
+    splits = alg.first_trees(n)
+    scales = {i: state.gram[i].den * state.gram[n - i].den for i in range(1, n)}
+    den = lcm(*scales.values())
+    rows: dict[int, list[int]] = {}  # numerators over den, by basis index
+    for i, scale in scales.items():
+        values = _contract([column.get(i, ()) for column in table], state.gram[i], state.gram[n - i])
+        up = den // scale
+        for index, (j, a, b) in enumerate(splits):
+            if j == i:
+                rows[index] = [up * v for v in values[a][b]]
+    return RationalMatrix.from_int_rows([rows[k] for k in sorted(rows)], len(table), den)
 
 
 def _extend_degree(
@@ -230,36 +266,49 @@ def _check_multiplicativity(state: PairingState) -> Optional[dict]:
 
     Triples where the pairing degrees disagree vanish on both sides by the
     graded representation, so only matched-degree triples carry content.
+    Each (degree, left degree) block is compared whole, and a failing block
+    is rescanned by z, x, y and side for its first failing triple.
     """
     alg = state.structure.algebra
     # <x y, z> = <x (x) y, coproduct of z> reads the lower Grams by rows at x
     # and y; its mirror <z, x y> reads them by columns.  Both sides are
     # compared as numerators over the product of the Grams' denominators.
     lower = {n: state.gram[n] for n in range(1, state.max_degree)}
-    views = {n: (g.int_rows(), g.transpose().int_rows()) for n, g in lower.items()}
+    mirrored = {n: g.transpose() for n, g in lower.items()}
     for k in range(2, state.max_degree + 1):
         gk, table = state.gram[k], alg.reduced_table(k)
-        cols = gk.cols
+        got = (gk.int_rows(), gk.transpose().int_rows())
         for i in range(1, k):
-            scale = lower[i].den * lower[k - i].den
-            xs, ys = alg.basis(i), alg.basis(k - i)
+            terms = [column.get(i, ()) for column in table]
+            sides = (lower[i], lower[k - i]), (mirrored[i], mirrored[k - i])
+            want = _contract(terms, *sides[0])
+            # for symmetric lower Grams the mirror reads the same values
+            wants = (want, want if sides[1] == sides[0] else _contract(terms, *sides[1]))
+            scale, den = lower[i].den * lower[k - i].den, gk.den
             products = alg.products(i, k - i)
+            if all(
+                list(map(scale.__mul__, got[side][ixy]))
+                == list(map(den.__mul__, wants[side][ix][iy]))
+                for side in (0, 1)
+                for ix, row in enumerate(products)
+                for iy, ixy in enumerate(row)
+            ):
+                continue
+            xs, ys = alg.basis(i), alg.basis(k - i)
             for iz, z in enumerate(alg.basis(k)):
-                terms = table[iz].get(i, ())
                 for ix, x in enumerate(xs):
                     for iy, y in enumerate(ys):
                         for side, identity in enumerate(("product-left", "product-right")):
-                            want = _pair_terms(terms, views[i][side][ix], views[k - i][side][iy])
-                            ixy = products[ix][iy]
-                            got = gk.num[ixy * cols + iz] if side == 0 else gk.num[iz * cols + ixy]
-                            if got * scale != want * gk.den:
+                            value = got[side][products[ix][iy]][iz]
+                            expected = wants[side][ix][iy][iz]
+                            if value * scale != expected * den:
                                 return {
                                     "identity": identity,
                                     "x": x.encode(),
                                     "y": y.encode(),
                                     "z": z.encode(),
-                                    "got": str(Fraction(got, gk.den)),
-                                    "want": str(Fraction(want, scale)),
+                                    "got": str(Fraction(value, den)),
+                                    "want": str(Fraction(expected, scale)),
                                 }
     return None
 

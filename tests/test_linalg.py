@@ -4,12 +4,14 @@ import os
 import random
 import subprocess
 import sys
+from bisect import insort
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hopfcalc import linalg
 from hopfcalc.linalg import (
     AmbientMismatch,
     NotSquare,
@@ -227,6 +229,69 @@ def test_rank_mod_p_examples():
     assert rank_mod_p([[PRIME, 0], [0, 1]]) == 1
     assert rank_mod_p([[1, 1], [1, 1 + PRIME]]) == 1
     assert rank_mod_p([[2 * PRIME + 3, -5], [7, PRIME - 1]]) == 2
+
+
+def oracle_rank_mod_p(rows) -> int:
+    """Rank modulo PRIME by the per-entry elimination the packed rows replaced."""
+    p = PRIME
+    pivots: dict[int, list[int]] = {}  # by leading column; each row starts there
+    leads: list[int] = []  # sorted
+    for row in rows:
+        v = [x % p for x in row]
+        for col in leads:
+            a = v[col]
+            if a:
+                v[col:] = [(x - a * y) % p for x, y in zip(v[col:], pivots[col])]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, p)
+            pivots[lead] = [x * inv % p for x in v[lead:]]
+            insort(leads, lead)
+    return len(leads)
+
+
+BOUND = 2 * PRIME**2
+MOD_P_ENTRIES = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from([PRIME, -PRIME, PRIME - 1, 1 - PRIME, BOUND, -BOUND]),
+    st.integers(-BOUND, BOUND),
+)
+
+
+@st.composite
+def mod_p_rows(draw) -> list[list[int]]:
+    """Rows with entries in [-2p^2, 2p^2], some of them dependent modulo p, shuffled."""
+    cols = draw(st.integers(0, 9), label="cols")
+    rows = draw(st.lists(st.lists(MOD_P_ENTRIES, min_size=cols, max_size=cols), max_size=9))
+    weights = st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows))
+    for w in draw(st.lists(weights, max_size=4), label="dependent rows"):
+        # a combination of the rows so far, moved by multiples of p and kept in range
+        combo = [sum(c * row[j] for c, row in zip(w, rows)) % PRIME for j in range(cols)]
+        shifts = draw(st.lists(st.integers(-2 * PRIME, 2 * PRIME - 1), min_size=cols, max_size=cols))
+        rows.append([x + k * PRIME for x, k in zip(combo, shifts)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mod_p_rows())
+@example([])
+@example([[], [], []])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[PRIME - 1] * 6] * 7)
+@example([[PRIME - 1] * 3 for _ in range(9)])
+@example([[PRIME - 1] * 9 for _ in range(2)])
+@example([[PRIME - 1 if j >= i else 1 for j in range(9)] for i in range(9)])
+def test_rank_mod_p_matches_per_entry_oracle(rows):
+    assert all(-BOUND <= x <= BOUND for row in rows for x in row)
+    assert rank_mod_p(rows) == oracle_rank_mod_p(rows)
+
+
+def test_rank_mod_p_raises_past_its_pivot_bound(monkeypatch):
+    # a packed row meets at most _MAX_PIVOTS pivots; the check is a raise, so it holds under -O
+    monkeypatch.setattr(linalg, "_MAX_PIVOTS", 2)
+    assert rank_mod_p(RationalMatrix.identity(3).int_rows()) == 3
+    with pytest.raises(OverflowError):
+        rank_mod_p(RationalMatrix.identity(4).int_rows())
 
 
 def test_rank_mod_p_equals_exact_rank_on_small_entries():

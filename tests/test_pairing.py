@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import assume, given, settings, strategies
@@ -16,6 +17,7 @@ from hopfcalc.pairing import (
     PairingReport,
     PairingState,
     _certified,
+    _check_multiplicativity,
     _check_shapes,
     _forced_products,
     adapt_complement,
@@ -613,3 +615,110 @@ def test_certificate_verdict_follows_a_replaced_gram():
     st.gram[3] = build_pairing(3).gram[3]
     assert verify_hopf_pairing(st).passed
     assert check_primitive_orthogonality(st, 3).passed
+
+
+# ---------------------------------------------------------------------------
+# the block contraction against the per-entry scan it replaced
+
+
+def _pair_terms(
+    terms: Sequence[tuple[int, int, int]], left_row: Sequence[int], right_row: Sequence[int]
+) -> int:
+    """Sum of c * left_row[a] * right_row[b] over reduced-table terms (a, b, c)."""
+    return sum(c * left_row[a] * right_row[b] for a, b, c in terms)
+
+
+def oracle_forced_products(state: PairingState, n: int) -> RationalMatrix:
+    """The forced rows at the multi-tree forests, one generator sum per entry."""
+    alg = state.structure.algebra
+    table = alg.reduced_table(n)
+    rows = []
+    for i, a, b in alg.first_trees(n):
+        if i == n:
+            continue
+        left, right = state.gram[i], state.gram[n - i]
+        lrow, rrow = left.int_row(a), right.int_row(b)
+        values = tuple(_pair_terms(column.get(i, ()), lrow, rrow) for column in table)
+        rows.append(RationalMatrix(1, len(table), values, left.den * right.den))
+    return stack_rows(rows, cols=len(table))
+
+
+def oracle_multiplicativity(state: PairingState) -> Optional[dict]:
+    """First failing triple, scanned by degree, left degree, z, x, y and side, one sum each."""
+    alg = state.structure.algebra
+    lower = {n: state.gram[n] for n in range(1, state.max_degree)}
+    views = {n: (g.int_rows(), g.transpose().int_rows()) for n, g in lower.items()}
+    for k in range(2, state.max_degree + 1):
+        gk, table = state.gram[k], alg.reduced_table(k)
+        cols = gk.cols
+        for i in range(1, k):
+            scale = lower[i].den * lower[k - i].den
+            xs, ys = alg.basis(i), alg.basis(k - i)
+            products = alg.products(i, k - i)
+            for iz, z in enumerate(alg.basis(k)):
+                terms = table[iz].get(i, ())
+                for ix, x in enumerate(xs):
+                    for iy, y in enumerate(ys):
+                        for side, identity in enumerate(("product-left", "product-right")):
+                            want = _pair_terms(terms, views[i][side][ix], views[k - i][side][iy])
+                            ixy = products[ix][iy]
+                            got = gk.num[ixy * cols + iz] if side == 0 else gk.num[iz * cols + ixy]
+                            if got * scale != want * gk.den:
+                                return {
+                                    "identity": identity,
+                                    "x": x.encode(),
+                                    "y": y.encode(),
+                                    "z": z.encode(),
+                                    "got": str(Fraction(got, gk.den)),
+                                    "want": str(Fraction(want, scale)),
+                                }
+    return None
+
+
+@pytest.mark.parametrize(
+    "letters, top", [((("a", 1),), 6), ((("a", 1), ("b", 2)), 5)], ids=["a1-d6", "a1b2-d5"]
+)
+def test_forced_products_match_per_entry_oracle(letters, top):
+    built = build_pairing(top, structure=HopfStructure(ForestAlgebra(DecorationSet(letters))))
+    assert _check_multiplicativity(built) is None
+    assert oracle_multiplicativity(built) is None
+    for n in range(1, top + 1):
+        assert _forced_products(built, n) == oracle_forced_products(built, n)
+
+
+@pytest.mark.parametrize("entries", [1, 2])
+@settings(deadline=None, max_examples=60)
+@given(data=strategies.data())
+def test_multiplicativity_matches_per_entry_oracle_under_a_fault(state, entries, data):
+    # entries of one Gram move: a lower Gram turns asymmetric, so the two sides differ, and
+    # with two faults the scan order decides which triple is reported
+    n = data.draw(strategies.integers(1, TOP), label="degree")
+    g = state.gram[n]
+    coordinate = strategies.integers(0, g.cols - 1)
+    rows = g.to_rows()
+    for _ in range(entries):
+        i, j, delta = data.draw(strategies.tuples(coordinate, coordinate, RATIONALS.filter(bool)))
+        rows[i][j] += delta
+    gram = {**state.gram, n: RationalMatrix.from_rows(rows)}
+    faulty = PairingState(state.structure, state.max_degree, dict(state.base_form), gram)
+    assert _check_multiplicativity(faulty) == oracle_multiplicativity(faulty)
+
+
+def test_multiplicativity_reports_the_first_triple_by_z_before_x():
+    # two faults at degree 4 fail in one block, and the scan by z, then x, then y picks this
+    # triple; a scan by x first picks another
+    st = build_pairing(4)
+    rows = st.gram[4].to_rows()
+    rows[5][5] += 1
+    rows[12][6] += 1
+    st.gram[4] = RationalMatrix.from_rows(rows)
+    want = {
+        "identity": "product-left",
+        "x": "a[a[a[]]]",
+        "y": "a[]",
+        "z": "a[a[] a[]] a[]",
+        "got": "7/3",
+        "want": "4/3",
+    }
+    assert oracle_multiplicativity(st) == want
+    assert _check_multiplicativity(st) == want
