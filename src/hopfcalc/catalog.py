@@ -17,13 +17,9 @@ TABLE_ORDER = 8
 
 
 class AlgebraCatalogEntry(Value):
-    __slots__ = ("name", "r_coeffs", "source")
     name: str
     r_coeffs: tuple[int, ...]
     source: str
-
-    def __init__(self, name: str, r_coeffs: tuple[int, ...], source: str) -> None:
-        super().__init__(name, r_coeffs, source)
 
     def r_series(self) -> SeriesProfile:
         return SeriesProfile.make("R", self.r_coeffs)

@@ -60,7 +60,6 @@ class RationalMatrix(Value):
     does is divided through on construction.
     """
 
-    __slots__ = ("rows", "cols", "num", "den")
     rows: int
     cols: int
     num: tuple[int, ...]  # row-major
@@ -297,7 +296,6 @@ def _rref(rows: Iterable[Sequence[int]], cols: int) -> tuple[RationalMatrix, tup
 class Subspace(Value):
     """A linear subspace stored via its unique reduced row-echelon basis."""
 
-    __slots__ = ("ambient_dim", "basis")
     ambient_dim: int
     basis: RationalMatrix
 

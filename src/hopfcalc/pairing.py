@@ -45,7 +45,6 @@ class PairingState(Value):
     Unlike the other records it is mutable and unhashable.
     """
 
-    __slots__ = ("structure", "max_degree", "base_form", "gram", "certificates")
     _hidden = ("certificates",)
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
@@ -54,19 +53,14 @@ class PairingState(Value):
     max_degree: int
     base_form: dict[int, RationalMatrix]
     gram: dict[int, RationalMatrix]
-    # per degree: the Gram and primitives a certificate read, and its verdict
-    certificates: dict[int, tuple[RationalMatrix, Subspace, bool]]
+    # per degree: the Gram and primitives a certificate read, and its verdict;
+    # left out, each state gets a dict of its own
+    certificates: Optional[dict[int, tuple[RationalMatrix, Subspace, bool]]] = None
 
-    def __init__(
-        self,
-        structure: HopfStructure,
-        max_degree: int,
-        base_form: dict[int, RationalMatrix],
-        gram: dict[int, RationalMatrix],
-        certificates: Optional[dict[int, tuple[RationalMatrix, Subspace, bool]]] = None,
-    ) -> None:
-        certificates = {} if certificates is None else certificates
-        super().__init__(structure, max_degree, base_form, gram, certificates)
+    def __init__(self, *values, **named) -> None:
+        super().__init__(*values, **named)
+        if self.certificates is None:
+            self.certificates = {}
 
     def generator_block(self, n: int) -> RationalMatrix:
         """Gram restricted to the primitive-generator basis H of degree n: H G H^T.
@@ -219,25 +213,17 @@ def build_pairing(
 
 
 class PairingCheck(Value):
-    __slots__ = ("name", "passed", "counterexample")
     name: str
     passed: bool
-    counterexample: Optional[dict]
-
-    def __init__(self, name: str, passed: bool, counterexample: Optional[dict] = None) -> None:
-        super().__init__(name, passed, counterexample)
+    counterexample: Optional[dict] = None
 
     def to_json(self) -> dict:
         return {"check": self.name, "pass": self.passed, "counterexample": self.counterexample}
 
 
 class PairingReport(Value):
-    __slots__ = ("max_degree", "checks")
     max_degree: int
     checks: tuple[PairingCheck, ...]
-
-    def __init__(self, max_degree: int, checks: tuple[PairingCheck, ...]) -> None:
-        super().__init__(max_degree, checks)
 
     @property
     def passed(self) -> bool:
@@ -388,14 +374,10 @@ def _certify(g: RationalMatrix, prim: Subspace, trees: list[int], multi: list[in
 class OrthogonalityCheck(Value):
     """Gram-orthogonal of the decomposables against the primitives."""
 
-    __slots__ = ("degree", "orthogonal_dim", "primitive_dim", "passed")
     degree: int
     orthogonal_dim: int
     primitive_dim: int
     passed: bool
-
-    def __init__(self, degree: int, orthogonal_dim: int, primitive_dim: int, passed: bool) -> None:
-        super().__init__(degree, orthogonal_dim, primitive_dim, passed)
 
     def to_json(self) -> dict:
         return {
@@ -444,38 +426,12 @@ class AdaptedBasis(Value):
     the normalization.
     """
 
-    __slots__ = (
-        "degree",
-        "core_rows",
-        "decomposable_complement_rows",
-        "primitive_generator_rows",
-        "residual_rows",
-        "block_gram",
-    )
     degree: int
     core_rows: RationalMatrix
     decomposable_complement_rows: RationalMatrix
     primitive_generator_rows: RationalMatrix
     residual_rows: RationalMatrix
     block_gram: RationalMatrix
-
-    def __init__(
-        self,
-        degree: int,
-        core_rows: RationalMatrix,
-        decomposable_complement_rows: RationalMatrix,
-        primitive_generator_rows: RationalMatrix,
-        residual_rows: RationalMatrix,
-        block_gram: RationalMatrix,
-    ) -> None:
-        super().__init__(
-            degree,
-            core_rows,
-            decomposable_complement_rows,
-            primitive_generator_rows,
-            residual_rows,
-            block_gram,
-        )
 
     def stacked(self) -> RationalMatrix:
         return stack_rows(

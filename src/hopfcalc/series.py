@@ -19,6 +19,7 @@ where a coefficient is not integral.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -31,6 +32,9 @@ KINDS = ("R", "P", "S", "D")
 #: constant term (degree-0 coefficient) implied by each profile kind
 _CONSTANT_TERM = {"R": 1, "P": 0, "S": 0, "D": 0}
 
+#: a coefficient string of series JSON: a signed integer, or one over a positive integer
+_COEFFICIENT_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 class NonIntegerExponent(ValueError):
     """A product (1-h^n)^{p_n} was requested with a non-integer exponent."""
@@ -39,7 +43,6 @@ class NonIntegerExponent(ValueError):
 class SeriesProfile(Value):
     """A truncated series of one of the four kinds, coefficients for h^1..h^order."""
 
-    __slots__ = ("kind", "order", "coeffs")
     kind: str
     order: int
     coeffs: tuple[Fraction, ...]
@@ -100,15 +103,9 @@ class GateVerdict(Value):
     fails; both are None on a pass.
     """
 
-    __slots__ = ("passed", "first_failure", "witness")
     passed: bool
-    first_failure: Optional[int]
-    witness: Optional[Fraction]
-
-    def __init__(
-        self, passed: bool, first_failure: Optional[int] = None, witness: Optional[Fraction] = None
-    ) -> None:
-        super().__init__(passed, first_failure, witness)
+    first_failure: Optional[int] = None
+    witness: Optional[Fraction] = None
 
     def to_json(self) -> dict:
         return {
@@ -328,7 +325,7 @@ def series_from_json(text: str) -> SeriesProfile:
     if isinstance(order, bool) or not isinstance(order, int) or not isinstance(raw, list):
         raise ValueError("series JSON: order must be an int and coeffs a list")
     for c in raw:
-        if isinstance(c, bool) or not isinstance(c, (int, str)):
+        if type(c) is not int and not (isinstance(c, str) and _COEFFICIENT_RE.fullmatch(c)):
             raise ValueError(f"series JSON: coefficient {c!r} is not an int or a fraction string")
     try:
         coeffs = tuple(Fraction(str(c)) for c in raw)

@@ -29,15 +29,6 @@ class DegreeDecomposition(Value):
     core.
     """
 
-    __slots__ = (
-        "degree",
-        "primitives",
-        "decomposables",
-        "core",
-        "decomposable_complement",
-        "primitive_generators",
-        "residual",
-    )
     degree: int
     primitives: Subspace
     decomposables: Subspace
@@ -45,26 +36,6 @@ class DegreeDecomposition(Value):
     decomposable_complement: Subspace
     primitive_generators: Subspace
     residual: Subspace
-
-    def __init__(
-        self,
-        degree: int,
-        primitives: Subspace,
-        decomposables: Subspace,
-        core: Subspace,
-        decomposable_complement: Subspace,
-        primitive_generators: Subspace,
-        residual: Subspace,
-    ) -> None:
-        super().__init__(
-            degree,
-            primitives,
-            decomposables,
-            core,
-            decomposable_complement,
-            primitive_generators,
-            residual,
-        )
 
     def dims(self) -> dict[str, int]:
         return {

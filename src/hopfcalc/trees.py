@@ -42,7 +42,6 @@ class DegreeZeroInput(ValueError):
 class DecorationSet(Value):
     """Graded alphabet of vertex decorations; labels distinct, degrees >= 1."""
 
-    __slots__ = ("entries",)
     entries: tuple[tuple[str, int], ...]
 
     def __init__(self, entries: Iterable[tuple[str, int]]) -> None:
@@ -101,23 +100,15 @@ class DecorationSet(Value):
 
 
 class Tree(Value):
-    __slots__ = ("decoration", "children")
     decoration: str
-    children: tuple[Tree, ...]
-
-    def __init__(self, decoration: str, children: tuple[Tree, ...] = ()) -> None:
-        super().__init__(decoration, children)
+    children: tuple[Tree, ...] = ()
 
     def encode(self) -> str:
         return f"{self.decoration}[{' '.join(c.encode() for c in self.children)}]"
 
 
 class Forest(Value):
-    __slots__ = ("trees",)
-    trees: tuple[Tree, ...]
-
-    def __init__(self, trees: tuple[Tree, ...] = ()) -> None:
-        super().__init__(trees)
+    trees: tuple[Tree, ...] = ()
 
     def encode(self) -> str:
         return " ".join(t.encode() for t in self.trees) if self.trees else "1"

@@ -119,8 +119,10 @@ def test_non_utf8_input_is_a_parse_failure(tmp_path, capsys, monkeypatch, argv):
     [
         '{"kind": "R", "order": 2, "coeffs": ["1", 0.1]}',
         '{"kind": "R", "order": true, "coeffs": ["1"]}',
+        '{"kind": "R", "order": 2, "coeffs": ["1", "1e3"]}',
+        '{"kind": "R", "order": 2, "coeffs": ["1", "0.5"]}',
     ],
-    ids=["float-coefficient", "bool-order"],
+    ids=["float-coefficient", "bool-order", "exponent-string", "decimal-string"],
 )
 def test_convert_rejects_inexact_series(tmp_path, capsys, payload):
     path = write(tmp_path, "r.json", payload)

@@ -610,7 +610,15 @@ def test_json_round_trip():
 
 
 def test_json_rejects_malformed_input():
-    for bad in ("not json", "[]", '{"kind": "R"}', '{"kind": "R", "order": 1, "coeffs": ["x"]}'):
+    for bad in (
+        "not json",
+        "[]",
+        '{"kind": "R"}',
+        '{"kind": "R", "order": 1, "coeffs": ["x"]}',
+        # Fraction reads these, but series JSON allows only integers and p/q
+        '{"kind": "R", "order": 1, "coeffs": ["1e3"]}',
+        '{"kind": "R", "order": 1, "coeffs": ["0.5"]}',
+    ):
         with pytest.raises(ValueError):
             series_from_json(bad)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import types
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,15 @@ CASES = [
 @pytest.mark.parametrize("cls, kwargs, change, bad", CASES, ids=[case[0].__name__ for case in CASES])
 def test_value_semantics(cls, kwargs, change, bad):
     value = cls(**kwargs)
+    # each field is declared once, by its annotation; a default does not hide the slot
+    assert cls.__slots__ == tuple(n for n in cls.__annotations__ if not n.startswith("_"))
+    assert all(isinstance(vars(cls)[n], types.MemberDescriptorType) for n in cls.__slots__)
+    assert not hasattr(value, "__dict__")
+    for missing in kwargs:
+        with pytest.raises(TypeError, match=f"'{missing}'"):
+            cls(**{n: v for n, v in kwargs.items() if n != missing})
+    with pytest.raises(TypeError, match="'unknown'"):
+        cls(**kwargs, unknown=1)
     compared = [name for name in cls.__slots__ if name != "certificates"]
     fields = tuple(getattr(value, name) for name in cls.__slots__)
     # positional construction with every field gives the same value as the defaults
