@@ -88,6 +88,12 @@ def _cap(default: int) -> int:
     return cap
 
 
+def _print_in_full() -> None:
+    """Lift Python's cap on int-to-decimal digits once the input is parsed; main restores it."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -100,12 +106,14 @@ def cmd_convert(args: argparse.Namespace) -> int:
                 f"--order must be between 1 and the input order {series.order}, got {args.order}"
             )
         series = series.truncate(args.order)
+    _print_in_full()
     print(series_to_json(convert(series, args.to_kind.upper())))
     return 0
 
 
 def cmd_gate(args: argparse.Namespace) -> int:
     series = _load_series(args.input, "R")
+    _print_in_full()
     gate = gate_free_cofree if args.which == "free-cofree" else gate_nck
     verdict = gate(series)
     print(json.dumps(verdict.to_json()))
@@ -247,6 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     try:
         return args.handler(args)
     except ParseFailure as exc:
@@ -258,6 +267,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NonIntegerExponent, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit:  # 0: there is no cap, or none to restore
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

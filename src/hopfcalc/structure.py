@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ._value import Value
 from .linalg import RationalMatrix, Subspace, _echelon, kernel_basis
-from .trees import ForestAlgebra
+from .trees import ForestAlgebra, memo
 
 
 class FreenessError(RuntimeError):
@@ -54,10 +54,7 @@ class HopfStructure:
 
     def __init__(self, algebra: ForestAlgebra | None = None) -> None:
         self.algebra = algebra if algebra is not None else ForestAlgebra()
-        self._primitives: dict[int, Subspace] = {}
-        self._decomposables: dict[int, Subspace] = {}
-        self._brackets: dict[int, Subspace] = {}
-        self._decompositions: dict[int, DegreeDecomposition] = {}
+        self._memo: dict[tuple, object] = {}
 
     def reduced_matrix(self, n: int) -> RationalMatrix:
         """Matrix of the reduced coproduct on degree n.
@@ -83,16 +80,14 @@ class HopfStructure:
                     entries[(offsets[i] + a * dims[n - i] + b) * cols + col] = coeff
         return RationalMatrix(total, cols, tuple(entries))
 
+    @memo
     def primitives(self, n: int) -> Subspace:
         """Kernel of the reduced coproduct on degree n."""
         if n < 1:
             raise ValueError("primitives are graded by degree >= 1")
-        cached = self._primitives.get(n)
-        if cached is None:
-            cached = kernel_basis(self.reduced_matrix(n))
-            self._primitives[n] = cached
-        return cached
+        return kernel_basis(self.reduced_matrix(n))
 
+    @memo
     def decomposables(self, n: int) -> Subspace:
         """Span of all products of positive-degree basis vectors totalling n.
 
@@ -101,50 +96,44 @@ class HopfStructure:
         """
         if n < 1:
             raise ValueError("decomposables are graded by degree >= 1")
-        cached = self._decomposables.get(n)
-        if cached is None:
-            alg = self.algebra
-            hit = {k for i in range(1, n) for row in alg.products(i, n - i) for k in row}
-            _, multi = self.coordinates(n)
-            if hit != set(multi):
-                first = min(hit.symmetric_difference(multi))
-                raise FreenessError(
-                    f"degree-{n} products of basis forests are not exactly the forests of "
-                    f"two or more trees; they differ at {alg.basis(n)[first].encode()!r}"
-                )
-            cached = Subspace.coordinate(alg.dim(n), multi)
-            self._decomposables[n] = cached
-        return cached
+        alg = self.algebra
+        hit = {k for i in range(1, n) for row in alg.products(i, n - i) for k in row}
+        _, multi = self.coordinates(n)
+        if hit != set(multi):
+            first = min(hit.symmetric_difference(multi))
+            raise FreenessError(
+                f"degree-{n} products of basis forests are not exactly the forests of "
+                f"two or more trees; they differ at {alg.basis(n)[first].encode()!r}"
+            )
+        return Subspace.coordinate(alg.dim(n), multi)
 
+    @memo
     def bracket_space(self, n: int) -> Subspace:
         """Span of commutators of primitives with degrees summing to n."""
         if n < 2:
             raise ValueError("brackets need two positive degrees, so n >= 2")
-        cached = self._brackets.get(n)
-        if cached is None:
-            alg = self.algebra
-            dim = alg.dim(n)
-            rows = []
-            # [y, x] = -[x, y], so the left degree runs up to n / 2 only
-            for i in range(1, n // 2 + 1):
-                # index(f g) and index(g f) for basis forests f, g
-                fg, gf = alg.products(i, n - i), alg.products(n - i, i)
-                xs, ys = (
-                    [[(a, c) for a, c in enumerate(row) if c] for row in prim.basis.int_rows()]
-                    for prim in (self.primitives(i), self.primitives(n - i))
-                )
-                for x_row in xs:
-                    for y_row in ys:
-                        v = [0] * dim
-                        for a, x in x_row:
-                            for b, y in y_row:
-                                v[fg[a][b]] += x * y
-                                v[gf[b][a]] -= x * y
-                        rows.append(v)
-            cached = Subspace.span(dim, rows)
-            self._brackets[n] = cached
-        return cached
+        alg = self.algebra
+        dim = alg.dim(n)
+        rows = []
+        # [y, x] = -[x, y], so the left degree runs up to n / 2 only
+        for i in range(1, n // 2 + 1):
+            # index(f g) and index(g f) for basis forests f, g
+            fg, gf = alg.products(i, n - i), alg.products(n - i, i)
+            xs, ys = (
+                [[(a, c) for a, c in enumerate(row) if c] for row in prim.basis.int_rows()]
+                for prim in (self.primitives(i), self.primitives(n - i))
+            )
+            for x_row in xs:
+                for y_row in ys:
+                    v = [0] * dim
+                    for a, x in x_row:
+                        for b, y in y_row:
+                            v[fg[a][b]] += x * y
+                            v[gf[b][a]] -= x * y
+                    rows.append(v)
+        return Subspace.span(dim, rows)
 
+    @memo
     def decomposition(self, n: int) -> DegreeDecomposition:
         """Split degree n into core, two complements, and the residual block.
 
@@ -154,9 +143,6 @@ class HopfStructure:
         """
         if n < 1:
             raise ValueError("decomposition is graded by degree >= 1")
-        cached = self._decompositions.get(n)
-        if cached is not None:
-            return cached
         dim = self.algebra.dim(n)
         prim = self.primitives(n)
         trees, multi = self.coordinates(n)
@@ -171,7 +157,7 @@ class HopfStructure:
         core = [[v[position[c]] for c in range(dim)] for lead, v in pivots.items() if lead >= t]
         # a greedy pass over unit vectors in basis order keeps exactly the unled coordinates
         led = {order[lead] for lead in pivots}
-        built = DegreeDecomposition(
+        return DegreeDecomposition(
             degree=n,
             primitives=prim,
             decomposables=self.decomposables(n),
@@ -182,8 +168,6 @@ class HopfStructure:
             ),
             residual=Subspace.coordinate(dim, set(trees) - led),
         )
-        self._decompositions[n] = built
-        return built
 
     def coordinates(self, n: int) -> tuple[list[int], list[int]]:
         """Basis indices of degree n: single trees, and forests of two or more trees."""

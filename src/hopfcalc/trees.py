@@ -25,6 +25,7 @@ instead of whole trees.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from typing import Iterable, Optional
@@ -37,6 +38,20 @@ _TREE_START_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\[")
 
 class DegreeZeroInput(ValueError):
     """A reduced coproduct was requested for the degree-0 component."""
+
+
+def memo(method):
+    """Per-instance memo keyed by method and arguments; a call that raises stores nothing."""
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (method, *args)
+        found = self._memo.get(key)
+        if found is None:
+            found = self._memo[key] = method(self, *args)
+        return found
+
+    return cached
 
 
 class DecorationSet(Value):
@@ -172,8 +187,8 @@ class ForestAlgebra:
     reduced tables, the product tables and the first-tree split run on these
     keys.  ``Tree`` and ``Forest`` objects are built for the public views only.
 
-    All caches are filled deterministically and published whole, so concurrent
-    repeated computation is idempotent.
+    Per-degree tables are kept by ``memo``; all caches are filled deterministically
+    and published whole, so concurrent repeated computation is idempotent.
     """
 
     def __init__(self, decorations: Optional[DecorationSet] = None) -> None:
@@ -184,12 +199,9 @@ class ForestAlgebra:
         self._tree_objects: list[Tree] = []
         self._codes: list[str] = []
         self._graft: dict[tuple[str, Key], int] = {}
-        self._trees: dict[int, tuple[int, ...]] = {}
-        self._keys: dict[int, tuple[Key, ...]] = {}
         self._position: dict[Key, tuple[int, int]] = {}
-        self._basis: dict[int, tuple[Forest, ...]] = {}
         self._coterms: dict[Key, KeyTerms] = {(): {((), ()): 1}}
-        self._tables: dict[int, tuple[TableColumn, ...]] = {}
+        self._memo: dict[tuple, object] = {}
 
     # -- enumeration ----------------------------------------------------------
 
@@ -212,34 +224,29 @@ class ForestAlgebra:
             self._codes.append(f"{label}[{self._code(children)}]")
         return found
 
+    @memo
     def _tree_numbers(self, n: int) -> tuple[int, ...]:
         """Numbers of the degree-n trees in canonical order."""
-        cached = self._trees.get(n)
-        if cached is None:
-            found = [
-                self._intern(label, children)
-                for label, degree in self.decorations.entries
-                if degree <= n
-                for children in self._forest_keys(n - degree)
-            ]
-            cached = tuple(sorted(found, key=self._codes.__getitem__))
-            self._trees[n] = cached
-        return cached
+        found = [
+            self._intern(label, children)
+            for label, degree in self.decorations.entries
+            if degree <= n
+            for children in self._forest_keys(n - degree)
+        ]
+        return tuple(sorted(found, key=self._codes.__getitem__))
 
+    @memo
     def _forest_keys(self, n: int) -> tuple[Key, ...]:
         """Keys of the degree-n basis in canonical order; places each on the position map."""
-        cached = self._keys.get(n)
-        if cached is None:
-            found = [
-                (first,) + rest
-                for k in range(1, n + 1)
-                for first in self._tree_numbers(k)
-                for rest in self._forest_keys(n - k)
-            ]
-            cached = tuple(sorted(found, key=self._code)) if n else ((),)
-            self._position.update((key, (n, i)) for i, key in enumerate(cached))
-            self._keys[n] = cached
-        return cached
+        found = [
+            (first,) + rest
+            for k in range(1, n + 1)
+            for first in self._tree_numbers(k)
+            for rest in self._forest_keys(n - k)
+        ]
+        keys = tuple(sorted(found, key=self._code)) if n else ((),)
+        self._position.update((key, (n, i)) for i, key in enumerate(keys))
+        return keys
 
     def _code(self, key: Key) -> str:
         return " ".join(map(self._codes.__getitem__, key))
@@ -255,15 +262,10 @@ class ForestAlgebra:
             return ()
         return tuple(map(self._tree_objects.__getitem__, self._tree_numbers(n)))
 
+    @memo
     def basis(self, n: int) -> tuple[Forest, ...]:
         """All forests of degree n in canonical (serialized-lexicographic) order."""
-        if n < 0:
-            return ()
-        cached = self._basis.get(n)
-        if cached is None:
-            cached = tuple(map(self._forest, self._forest_keys(n)))
-            self._basis[n] = cached
-        return cached
+        return tuple(map(self._forest, self._forest_keys(n))) if n >= 0 else ()
 
     def dim(self, n: int) -> int:
         return len(self._forest_keys(n)) if n >= 0 else 0
@@ -276,6 +278,7 @@ class ForestAlgebra:
         self._forest_keys(self.degree(forest))
         return self._position[self._key(forest.trees)][1]
 
+    @memo
     def first_trees(self, n: int) -> tuple[tuple[int, int, int], ...]:
         """Per degree-n basis forest, (i, a, b): its first tree and the rest of it.
 
@@ -287,6 +290,7 @@ class ForestAlgebra:
         position = self._position
         return tuple((*position[key[:1]], position[key[1:]][1]) for key in self._forest_keys(n))
 
+    @memo
     def products(self, i: int, j: int) -> tuple[tuple[int, ...], ...]:
         """Row a holds the index of basis(i)[a] * basis(j)[b] in basis(i + j), at b."""
         self._forest_keys(i + j)
@@ -335,6 +339,7 @@ class ForestAlgebra:
             for (left, right), coeff in self._coproduct(self._key(forest.trees)).items()
         }
 
+    @memo
     def reduced_table(self, n: int) -> tuple[TableColumn, ...]:
         """Reduced coproduct of every degree-n basis forest, over basis indices.
 
@@ -344,26 +349,22 @@ class ForestAlgebra:
         """
         if n < 1:
             raise DegreeZeroInput("reduced coproduct needs degree >= 1")
-        cached = self._tables.get(n)
-        if cached is None:
-            position = self._position
-            columns = []
-            for key in self._forest_keys(n):
-                by_left: dict[int, list[tuple[int, int, int]]] = {}
-                for (left, right), coeff in self._coproduct(key).items():
-                    if not (left and right):
-                        continue
-                    # basis(n) has placed every forest a term can hold; one off the map
-                    # reads as the unit and fails the check like a unit factor would
-                    i, a = position.get(left, (0, 0))
-                    j, b = position.get(right, (0, 0))
-                    if not 0 < i < n or i + j != n:
-                        raise RuntimeError(
-                            f"coproduct of {self._code(key)!r} breaks the grading at "
-                            f"{self._code(left)!r} (x) {self._code(right)!r}"
-                        )
-                    by_left.setdefault(i, []).append((a, b, coeff))
-                columns.append({i: tuple(terms) for i, terms in by_left.items()})
-            cached = tuple(columns)
-            self._tables[n] = cached
-        return cached
+        position = self._position
+        columns = []
+        for key in self._forest_keys(n):
+            by_left: dict[int, list[tuple[int, int, int]]] = {}
+            for (left, right), coeff in self._coproduct(key).items():
+                if not (left and right):
+                    continue
+                # basis(n) has placed every forest a term can hold; one off the map
+                # reads as the unit and fails the check like a unit factor would
+                i, a = position.get(left, (0, 0))
+                j, b = position.get(right, (0, 0))
+                if not 0 < i < n or i + j != n:
+                    raise RuntimeError(
+                        f"coproduct of {self._code(key)!r} breaks the grading at "
+                        f"{self._code(left)!r} (x) {self._code(right)!r}"
+                    )
+                by_left.setdefault(i, []).append((a, b, coeff))
+            columns.append({i: tuple(terms) for i, terms in by_left.items()})
+        return tuple(columns)

@@ -129,6 +129,58 @@ def test_convert_rejects_inexact_series(tmp_path, capsys, payload):
     code, out, err = run_cli(capsys, "convert", "--from", "r", "--to", "r", "--input", path)
     assert (code, out) == (2, "") and "series" in err
 
+
+def digits_past_the_cap(*values: int) -> list[str]:
+    """Decimal strings of ints past Python's int-to-decimal cap, lifted here and restored."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+needs_digit_cap = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int-to-decimal cap"
+)
+
+
+@needs_digit_cap
+@pytest.mark.parametrize("limit", [4300, 5000])
+def test_results_past_the_digit_cap_print_in_full(tmp_path, capsys, limit):
+    # R = 1 + 10^4000 x + x^2: p_2 = 1 - 10^8000, and the nck gate fails at 2 with 1 - 2·10^8000
+    big = 10**4000
+    p_2, witness = digits_past_the_cap(1 - big**2, 1 - 2 * big**2)
+    payload = {"kind": "R", "order": 2, "coeffs": [str(big), "1"]}
+    path = write(tmp_path, "r.json", json.dumps(payload))
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)  # main restores the caller's cap, default or not
+    try:
+        code, out, _ = run_cli(capsys, "convert", "--from", "r", "--to", "p", "--input", path)
+        assert (code, json.loads(out)["coeffs"]) == (0, [str(big), p_2])
+        assert sys.get_int_max_str_digits() == limit
+        code, out, _ = run_cli(capsys, "gate", "--which", "nck", "--input", path)
+        verdict = {"pass": False, "first_failure": 2, "witness": witness}
+        assert (code, json.loads(out)) == (1, verdict)
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@needs_digit_cap
+@pytest.mark.parametrize(
+    "command", [["convert", "--from", "r", "--to", "p"], ["gate", "--which", "nck"]]
+)
+def test_input_past_the_digit_cap_is_malformed(tmp_path, capsys, command):
+    # the cap on int-to-decimal conversion still bounds what is parsed: 4,301 digits exit 2
+    limit = sys.get_int_max_str_digits()
+    payload = {"kind": "R", "order": 1, "coeffs": ["1" + "0" * 4300]}
+    path = write(tmp_path, "r.json", json.dumps(payload))
+    code, out, err = run_cli(capsys, *command, "--input", path)
+    assert (code, out) == (2, "") and "coefficient" in err
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_gate_nck_fails_on_counterexample(tmp_path, capsys):
     path = write(tmp_path, "r.json", '{"kind": "R", "order": 3, "coeffs": ["1","2","4"]}')
     code, out, _ = run_cli(capsys, "gate", "--which", "nck", "--input", path)

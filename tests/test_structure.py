@@ -8,7 +8,7 @@ import pytest
 from hopfcalc.linalg import RationalMatrix, Subspace, stack_rows
 from hopfcalc.series import SeriesProfile, p_from_r, s_from_r
 from hopfcalc.structure import DegreeDecomposition, FreenessError, HopfStructure
-from hopfcalc.trees import DecorationSet, ForestAlgebra, parse_forest
+from hopfcalc.trees import DecorationSet, DegreeZeroInput, ForestAlgebra, parse_forest
 from test_span_oracle import full_space, oracle_decomposition, span_ops
 
 TOP = 5
@@ -202,7 +202,7 @@ def without_row(space: Subspace, r: int) -> Subspace:
     [("residual", {"residual_matches_core"}), ("core", {"residual_matches_core", "bracket_matches_core"})],
 )
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_degree_report_flags_a_dropped_block_row(n, block, flagged):
+def test_degree_report_flags_a_dropped_block_row(n, block, flagged, monkeypatch):
     # a generator row replaced by a core row goes unflagged: no key reads the generators
     structure = HopfStructure()
     split = structure.decomposition(n)
@@ -219,9 +219,39 @@ def test_degree_report_flags_a_dropped_block_row(n, block, flagged):
         }
         blocks[block] = without_row(blocks[block], r)
         faulty = DegreeDecomposition(split.degree, **blocks)
-        structure._decompositions[n] = faulty
+        monkeypatch.setattr(structure, "decomposition", lambda degree, faulty=faulty: faulty)
         report = structure.degree_report(n)
         assert {key for key in flags if not report[key]} == flagged
+
+
+@pytest.mark.parametrize(
+    "layer, method, args, error",
+    [
+        ("algebra", "_tree_numbers", (4,), None),
+        ("algebra", "_forest_keys", (4,), None),
+        ("algebra", "basis", (4,), None),
+        ("algebra", "reduced_table", (4,), None),
+        ("algebra", "products", (1, 3), None),
+        ("algebra", "first_trees", (4,), None),
+        ("structure", "primitives", (4,), None),
+        ("structure", "decomposables", (4,), None),
+        ("structure", "bracket_space", (4,), None),
+        ("structure", "decomposition", (4,), None),
+        ("algebra", "reduced_table", (0,), DegreeZeroInput),
+        ("algebra", "first_trees", (0,), ValueError),
+        ("structure", "primitives", (0,), ValueError),
+        ("structure", "decomposition", (0,), ValueError),
+    ],
+)
+def test_memo_keeps_results_and_not_failures(layer, method, args, error):
+    structure = HopfStructure()
+    call = getattr({"algebra": structure.algebra, "structure": structure}[layer], method)
+    if error is None:
+        assert call(*args) is call(*args)
+        return
+    for _ in range(2):
+        with pytest.raises(error):
+            call(*args)
 
 
 def test_determinism_across_instances(hs):
