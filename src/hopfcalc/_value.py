@@ -26,13 +26,10 @@ class Value(metaclass=_Fields):
 
     Fields are given positionally or by keyword; a field with a class-body
     default may be left out.  Records of one class are equal, and hash equal,
-    when their compared fields are; a record never equals a tuple or a record
-    of another class.  Fields are read-only once ``Value.__init__`` has set
-    them.  The repr is ``Name(field=value, ...)`` over the compared fields.
+    when their fields are; a record never equals a tuple or a record of
+    another class.  Fields are read-only once ``Value.__init__`` has set
+    them.  The repr is ``Name(field=value, ...)``.
     """
-
-    #: fields left out of equality, hashing and the repr
-    _hidden: tuple[str, ...] = ()
 
     def __init__(self, *values, **named) -> None:
         fields = self.__slots__
@@ -53,8 +50,8 @@ class Value(metaclass=_Fields):
             object.__setattr__(self, name, value)
 
     def _items(self) -> tuple:
-        """(name, value) of each compared field."""
-        return tuple((n, getattr(self, n)) for n in self.__slots__ if n not in self._hidden)
+        """(name, value) of each field."""
+        return tuple((n, getattr(self, n)) for n in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -3,8 +3,9 @@ tree Hopf algebra analyses.
 
 Exit codes form a contract: 0 success or pass, 1 failed gate or failed
 verification, 2 unreadable or malformed input, 3 domain error (bad values in
-well-formed input), 4 resource cap exceeded.  The environment variable
-HOPF_CAP overrides the degree caps of the nck and pairing commands.
+well-formed input), 4 resource cap exceeded, 141 stdout closed before the
+output was written.  The environment variable HOPF_CAP overrides the degree
+caps of the nck and pairing commands.
 """
 
 from __future__ import annotations
@@ -257,7 +258,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; keep the interpreter's exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # what a shell reports for a process killed by SIGPIPE
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,8 +21,9 @@ unique for a given row space, every Subspace stores a canonical basis and
 subspace equality is value equality.
 
 ``rank_mod_p`` is the one elimination outside the rationals: the rank modulo
-a fixed prime, a lower bound for the rank over the rationals, for
-certificates that fall back to the exact routines when it comes up short.
+a fixed prime, a lower bound for the rank over the rationals, for the
+pairing certificate, which falls back to the exact routines when it comes
+up short.
 It packs each row into one int, a residue per 80-bit slot, so a reduction
 step is one big-integer multiply-add and the reduction modulo the prime
 waits until the row is unpacked to find its lead.

@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 from ._value import Value
 from .linalg import RationalMatrix, Subspace, kernel_basis, rank_mod_p, stack_rows
 from .structure import DegreeDecomposition, HopfStructure
+from .trees import memo
 
 
 class DegenerateBaseForm(ValueError):
@@ -42,25 +43,13 @@ class DegenerateBaseForm(ValueError):
 class PairingState(Value):
     """Per-degree Gram matrices of the pairing over canonical forest bases.
 
-    Unlike the other records it is mutable and unhashable.
+    Its fields are dicts, so the record is unhashable.
     """
 
-    _hidden = ("certificates",)
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
     structure: HopfStructure
     max_degree: int
     base_form: dict[int, RationalMatrix]
     gram: dict[int, RationalMatrix]
-    # per degree: the Gram and primitives a certificate read, and its verdict;
-    # left out, each state gets a dict of its own
-    certificates: Optional[dict[int, tuple[RationalMatrix, Subspace, bool]]] = None
-
-    def __init__(self, *values, **named) -> None:
-        super().__init__(*values, **named)
-        if self.certificates is None:
-            self.certificates = {}
 
     def generator_block(self, n: int) -> RationalMatrix:
         """Gram restricted to the primitive-generator basis H of degree n: H G H^T.
@@ -336,18 +325,13 @@ def verify_hopf_pairing(state: PairingState) -> PairingReport:
 
 
 def _certified(state: PairingState, n: int) -> bool:
-    """The degree-n certificate's verdict, kept on the state for the Gram and primitives it read."""
-    if n < 1:
-        return False
-    g, prim = state.gram[n], state.structure.primitives(n)
-    cached = state.certificates.get(n)
-    if cached is None or cached[0] != g or cached[1] != prim:
-        cached = (g, prim, _certify(g, prim, *state.structure.coordinates(n)))
-        state.certificates[n] = cached
-    return cached[2]
+    """The degree-n certificate's verdict for the state's Gram and primitives."""
+    structure = state.structure
+    return n >= 1 and _certify(structure, n, state.gram[n], structure.primitives(n))
 
 
-def _certify(g: RationalMatrix, prim: Subspace, trees: list[int], multi: list[int]) -> bool:
+@memo
+def _certify(structure: HopfStructure, n: int, g: RationalMatrix, prim: Subspace) -> bool:
     """Whether a certificate proves G nondegenerate, with its rows M at multi of kernel span P.
 
     P is the basis of the primitives.  The certificate checks M P^T = 0 exactly,
@@ -359,6 +343,7 @@ def _certify(g: RationalMatrix, prim: Subspace, trees: list[int], multi: list[in
     """
     if prim.ambient_dim != g.cols or not g.is_symmetric():
         return False
+    trees, multi = structure.coordinates(n)
     on_trees = []
     # as G is symmetric, the multi-tree columns of P G are M P^T transposed
     for values in (prim.basis @ g).int_rows():

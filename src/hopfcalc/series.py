@@ -314,7 +314,7 @@ def series_to_json(series: SeriesProfile) -> str:
 def series_from_json(text: str) -> SeriesProfile:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid series JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError("series JSON must be an object")

@@ -85,7 +85,7 @@ class DecorationSet(Value):
     def from_json(cls, text: str) -> DecorationSet:
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"invalid decoration JSON: {exc}") from exc
         if not isinstance(payload, list):
             raise ValueError("decoration JSON must be a list of objects")

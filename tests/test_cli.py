@@ -472,6 +472,38 @@ def console_script(tmp_path, *argv, flags=()):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "--from", "r", "--to", "s", "--input", "deep.json"],
+        ["gate", "--which", "nck", "--input", "deep.json"],
+        ["nck", "dims", "--max-degree", "2", "--decorations", "deep.json"],
+    ],
+    ids=["convert", "gate", "nck-decorations"],
+)
+def test_deeply_nested_json_is_malformed_input(tmp_path, argv):
+    write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    proc = console_script(tmp_path, *argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_as_for_sigpipe(tmp_path):
+    # 323 KB of output, more than a pipe buffer holds, so the writer meets the closed pipe
+    with subprocess.Popen(
+        [sys.executable, "-m", "hopfcalc", "pairing", "build", "--max-degree", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=tmp_path,
+        env=child_env(),
+    ) as proc:
+        assert proc.stdout.read(10) == b'{\n  "max_d'
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait() == 141
+
+
 def test_console_script_end_to_end(tmp_path):
     proc = console_script(tmp_path, "tables", "--which", "d")
     assert proc.returncode == 0, proc.stderr

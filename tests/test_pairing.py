@@ -8,7 +8,8 @@ from typing import Optional, Sequence
 import pytest
 from hypothesis import assume, given, settings, strategies
 
-from hopfcalc.linalg import RationalMatrix, Subspace, kernel_basis, stack_rows
+from hopfcalc import pairing
+from hopfcalc.linalg import RationalMatrix, Subspace, kernel_basis, rank_mod_p, stack_rows
 from hopfcalc.pairing import (
     AdaptedBasis,
     DegenerateBaseForm,
@@ -615,6 +616,37 @@ def test_certificate_verdict_follows_a_replaced_gram():
     st.gram[3] = build_pairing(3).gram[3]
     assert verify_hopf_pairing(st).passed
     assert check_primitive_orthogonality(st, 3).passed
+
+
+def test_each_certificate_is_computed_once_per_gram_and_primitives(monkeypatch):
+    ranks = []
+
+    def counted(rows):
+        ranks.append(1)
+        return rank_mod_p(rows)
+
+    monkeypatch.setattr(pairing, "rank_mod_p", counted)
+    st = build_pairing(6)
+    # verify and the orthogonality checks share one certificate per degree: two ranks each
+    assert verify_hopf_pairing(st).passed
+    assert all(check_primitive_orthogonality(st, n).passed for n in range(1, 7))
+    assert len(ranks) == 12
+    assert verify_hopf_pairing(st).passed
+    assert len(ranks) == 12
+    built = st.gram[3]
+    st.gram[3] = RationalMatrix.zeros(5, 5)
+    by_name = {c.name: c for c in verify_hopf_pairing(st).checks}
+    assert by_name["nondegeneracy"].counterexample == {"degree": 3, "det": "0"}
+    assert len(ranks) == 13
+    st.gram[3] = built
+    assert verify_hopf_pairing(st).passed
+    assert len(ranks) == 13
+    rows = st.structure.primitives(4).basis_rows()
+    rows[0] = [x + y for x, y in zip(rows[0], rows[1])]
+    with_primitives(st, 4, rows)
+    assert verify_hopf_pairing(st).passed
+    assert len(ranks) == 15
+    assert_matches_oracle(st)
 
 
 # ---------------------------------------------------------------------------
