@@ -24,6 +24,7 @@ from .series import (
     gate_free_cofree,
     gate_nck,
     p_from_r,
+    r_from_d,
     s_from_r,
     series_from_json,
     series_to_json,
@@ -136,26 +137,25 @@ def cmd_nck(args: argparse.Namespace) -> int:
         raise CapExceeded(f"--max-degree {args.max_degree} exceeds the cap {cap}")
     if args.max_degree < 1:
         raise ValueError("--max-degree must be >= 1")
+    decorations = _load_decorations(args.decorations)
+    top = args.max_degree
+    if args.mode == "dims":
+        # the forests are counted by R = 1 + D R^2, not built; verify builds them
+        r_series = r_from_d(SeriesProfile.make("D", decorations.degree_counts(top)))
+        _emit(
+            {
+                "max_degree": top,
+                "decorations": json.loads(decorations.to_json()),
+                "r": [int(c) for c in r_series.coeffs],
+                "p": [int(c) for c in p_from_r(r_series).coeffs],
+                "s": [int(c) for c in s_from_r(r_series).coeffs],
+            }
+        )
+        return 0
     from .structure import HopfStructure
     from .trees import ForestAlgebra
 
-    decorations = _load_decorations(args.decorations)
     structure = HopfStructure(ForestAlgebra(decorations))
-    top = args.max_degree
-    if args.mode == "dims":
-        # counts derived from the enumerated dimension series; verify mode
-        # recomputes them structurally (kernels, spans), which costs far more
-        counts = [structure.algebra.dim(n) for n in range(1, top + 1)]
-        r_series = SeriesProfile.make("R", counts)
-        payload = {
-            "max_degree": top,
-            "decorations": json.loads(decorations.to_json()),
-            "r": counts,
-            "p": [int(c) for c in p_from_r(r_series).coeffs],
-            "s": [int(c) for c in s_from_r(r_series).coeffs],
-        }
-        _emit(payload)
-        return 0
     reports = [structure.degree_report(n) for n in range(1, top + 1)]
     # every boolean of a report is a check, named by structure.degree_report alone
     ok = all(v for r in reports for v in r.values() if isinstance(v, bool))

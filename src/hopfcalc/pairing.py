@@ -176,11 +176,17 @@ def build_pairing(
     base_form: Optional[dict[int, RationalMatrix]] = None,
     structure: Optional[HopfStructure] = None,
 ) -> PairingState:
-    """Build the pairing up to max_degree; identity base form by default."""
+    """Build the pairing up to max_degree; identity base form by default.
+
+    Each base-form key must be an ``int`` degree in 1..max_degree (a ``bool`` is not).
+    """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    structure = structure if structure is not None else HopfStructure()
     overrides = dict(base_form) if base_form else {}
+    stray = [k for k in overrides if type(k) is not int or not 1 <= k <= max_degree]
+    if stray:
+        raise ValueError(f"base form keys {stray!r} are not degrees in 1..{max_degree}")
+    structure = structure if structure is not None else HopfStructure()
     state = PairingState(
         structure=structure,
         max_degree=max_degree,

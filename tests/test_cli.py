@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import hopfcalc
+from hopfcalc import trees
 from hopfcalc.catalog import golden_table, render_table
 from hopfcalc.cli import main
+from hopfcalc.trees import DecorationSet, ForestAlgebra
 
 CATALAN = '{"kind": "R", "order": 8, "coeffs": ["1","2","5","14","42","132","429","1430"]}'
 S110 = '{"kind": "S", "order": 3, "coeffs": ["1","1","0"]}'
@@ -233,16 +235,38 @@ def test_nck_dims(capsys, monkeypatch):
     assert payload["decorations"] == [{"label": "a", "degree": 1}]
 
 
-def test_nck_dims_two_decorations(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "entries",
+    [None, {"a": 1, "b": 1}, {"a": 1, "b": 2}, {"a": 2, "b": 3, "c": 1}, {"a": 1, "b": 1, "c": 1}],
+    ids=["default", "a1-b1", "a1-b2", "a2-b3-c1", "a1-b1-c1"],
+)
+def test_nck_dims_two_decorations(tmp_path, capsys, monkeypatch, entries):
+    # dims counts the forests by R = 1 + D R^2; the enumerated basis is the oracle
     monkeypatch.delenv("HOPF_CAP", raising=False)
-    path = write(tmp_path, "dec.json", '[{"label": "a", "degree": 1}, {"label": "b", "degree": 1}]')
-    code, out, _ = run_cli(capsys, "nck", "dims", "--max-degree", "3", "--decorations", path)
+    argv = ["nck", "dims", "--max-degree", "5"]
+    if entries is not None:
+        text = json.dumps([{"label": k, "degree": d} for k, d in entries.items()])
+        argv += ["--decorations", write(tmp_path, "dec.json", text)]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert json.loads(out)["r"] == [2, 8, 40]
+    algebra = ForestAlgebra(DecorationSet(entries.items()) if entries else None)
+    assert json.loads(out)["r"] == [algebra.dim(n) for n in range(1, 6)]
     bad = write(tmp_path, "bad.json", '[{"label": "a"}]')
     code, _, _ = run_cli(capsys, "nck", "dims", "--max-degree", "2", "--decorations", bad)
     assert code == 2
 
+
+def test_nck_dims_counts_without_building(tmp_path, capsys, monkeypatch):
+    # five letters would need 33,515,625 forests at degree 7
+    def refuse(*_):
+        raise AssertionError("nck dims built the forest basis")
+
+    monkeypatch.delenv("HOPF_CAP", raising=False)
+    monkeypatch.setattr(trees, "ForestAlgebra", refuse)
+    path = write(tmp_path, "dec.json", json.dumps([{"label": k, "degree": 1} for k in "abcde"]))
+    code, out, _ = run_cli(capsys, "nck", "dims", "--max-degree", "7", "--decorations", path)
+    assert code == 0
+    assert json.loads(out)["r"] == [5, 50, 625, 8750, 131250, 2062500, 33515625]
 
 
 @pytest.mark.parametrize("degree", ["1.7", "true"])
@@ -572,7 +596,14 @@ def test_series_commands_leave_the_tree_layers_unloaded(tmp_path, argv):
 
 
 def test_tree_commands_load_their_layers(tmp_path):
+    # dims counts by the series alone; it needs the tree layer only for DecorationSet
     proc = console_script(tmp_path, "nck", "dims", "--max-degree", "2", flags=("-X", "importtime"))
+    assert proc.returncode == 0, proc.stderr
+    assert imported(proc.stderr) & TREE_LAYERS == {"hopfcalc.trees"}
+    assert not imported(proc.stderr) & RECORD_MACHINERY
+    proc = console_script(
+        tmp_path, "nck", "verify", "--max-degree", "2", flags=("-X", "importtime")
+    )
     assert proc.returncode == 0, proc.stderr
     assert TREE_LAYERS - imported(proc.stderr) == {"hopfcalc.pairing"}
     assert not imported(proc.stderr) & RECORD_MACHINERY

@@ -422,6 +422,11 @@ def test_base_form_validation():
         build_pairing(4, base_form={4: asym})
     with pytest.raises(ValueError):
         build_pairing(-1)
+    # keys outside 1..2 were dropped unread, and True and 2.0 stood in for an int by equality
+    eye = RationalMatrix.identity
+    for stray in ({5: eye(3), 0: eye(7)}, {"2": eye(1)}, {True: eye(1)}, {2.0: eye(1)}):
+        with pytest.raises(ValueError, match="not degrees in 1..2"):
+            build_pairing(2, base_form=stray)
 
 
 def test_custom_base_form():
