@@ -139,9 +139,9 @@ def cmd_nck(args: argparse.Namespace) -> int:
         raise ValueError("--max-degree must be >= 1")
     decorations = _load_decorations(args.decorations)
     top = args.max_degree
+    # the forests are counted by R = 1 + D R^2, not built; verify builds them
+    r_series = r_from_d(SeriesProfile.make("D", decorations.degree_counts(top)))
     if args.mode == "dims":
-        # the forests are counted by R = 1 + D R^2, not built; verify builds them
-        r_series = r_from_d(SeriesProfile.make("D", decorations.degree_counts(top)))
         _emit(
             {
                 "max_degree": top,
@@ -152,6 +152,16 @@ def cmd_nck(args: argparse.Namespace) -> int:
             }
         )
         return 0
+    # verify's work follows the forest count, so the cap bounds it too: by the default set's
+    # count at the cap, Catalan(cap), taken by its recurrence only as far as the test needs
+    forests, budget, k = int(r_series.coeff(top)), 1, 0
+    while budget < forests and k < cap:
+        budget, k = budget * 2 * (2 * k + 1) // (k + 2), k + 1
+    if forests > budget:
+        raise CapExceeded(
+            f"{forests} forests at degree {top} exceed the budget of {budget}, "
+            f"the default set's count at the cap {cap}"
+        )
     from .structure import HopfStructure
     from .trees import ForestAlgebra
 

@@ -8,8 +8,10 @@ caller-supplied symmetric base form and vanish everywhere else, and residual
 generators vanish on both generator blocks while their values on products are
 forced again.  As the algebra is free on trees, the forced values fill every
 Gram row at a forest of two or more trees, and symmetry their transposes.
-Each degree therefore reduces to one exact solve for its tree x tree block,
-through the generators' square block on the tree coordinates.
+The tree x tree block then follows in closed form (see ``_extend_degree``)
+from three facts: the forced rows vanish on primitives, the residual rows are
+unit vectors at tree coordinates, and the primitive generators are invertible
+on the other tree coordinates, so that square block is the only matrix inverted.
 
 The forced values and the multiplicativity check read the same contraction:
 for degrees i and n - i, the reduced table is folded into the columns of the
@@ -137,38 +139,43 @@ def _forced_products(state: PairingState, n: int) -> RationalMatrix:
 def _extend_degree(
     state: PairingState, n: int, split: DegreeDecomposition, form: RationalMatrix
 ) -> None:
-    """Solve the degree-n Gram on its tree x tree block alone.
+    """Write the degree-n Gram from its forced rows F and its tree x tree block X.
 
-    The rows at the multi-tree forests are forced, and by symmetry so are the
-    tree rows at multi-tree columns: G0 is the Gram with those and a zero tree
-    block.  The generators H = [h; w] must pair as diag(form, 0).  On the tree
-    coordinates H is a square invertible Y, since core and complement rows
-    live on the multi-tree ones, so the tree block is
-    -Y^-1 (H G0 H^T - diag(form, 0)) Y^-T.  No other condition is needed: h
-    is primitive, so it vanishes on products, and w pairs with them as forced.
+    Three facts give X in closed form: F h^T = 0 for the primitive generators
+    h, the residual rows are unit vectors at tree coordinates R, and h on the
+    other tree coordinates L is a square invertible h_L.  With K^T = h_M F_T
+    (h on the multi-tree coordinates, F on the trees) and U = h_L^-1 on rows
+    L, zero on rows R, X = U (form + h_T K) U^T - K U^T - U K^T pairs h as
+    form, and h against the residual and the residual with itself as 0.
     """
     trees, multi = state.structure.coordinates(n)
     forced = _forced_products(state, n)
-    dim = forced.cols
-    rows = [[0] * dim for _ in range(dim)]
-    for k, row in zip(multi, forced.int_rows()):
-        rows[k] = list(row)
+    h = split.primitive_generators.basis
+    residual = {row.index(1) for row in split.residual.basis.int_rows()}
+
+    def part(m: RationalMatrix, columns: list[int]) -> RationalMatrix:
+        rows = [[row[j] for j in columns] for row in m.int_rows()]
+        return RationalMatrix.from_int_rows(rows, len(columns), m.den)
+
+    kt = part(h, multi) @ part(forced, trees)
+    h_l_inv = part(h, [j for j in trees if j not in residual]).inverse()
+    on_l, zero = iter(h_l_inv.int_rows()), (0,) * h.rows
+    u = RationalMatrix.from_int_rows(
+        [zero if j in residual else next(on_l) for j in trees], h.rows, h_l_inv.den
+    )
+    k = kt.transpose()
+    # as (U form + U h_T K - K) U^T - U K^T, by subtractions alone
+    x = (u @ form - (k - u @ (part(h, trees) @ k))) @ u.transpose() - u @ kt
+    den = lcm(forced.den, x.den)
+    rows = [[0] * forced.cols for _ in range(forced.cols)]
+    for m, row in zip(multi, forced.int_rows()):
+        rows[m] = [v * (den // forced.den) for v in row]
         for j in trees:
-            rows[j][k] = row[j]
-    g0 = RationalMatrix.from_int_rows(rows, dim, forced.den)
-    gens = stack_rows([split.primitive_generators.basis, split.residual.basis], cols=dim)
-    t, s = len(trees), form.rows
-    wanted = [list(row) + [0] * (t - s) for row in form.int_rows()] + [[0] * t] * (t - s)
-    excess = gens @ g0 @ gens.transpose() - RationalMatrix.from_int_rows(wanted, t, form.den)
-    y_inv = RationalMatrix.from_int_rows(
-        [[row[j] for j in trees] for row in gens.int_rows()], t, gens.den
-    ).inverse()
-    block = y_inv @ excess @ y_inv.transpose()
-    rows = [[0] * dim for _ in range(dim)]
-    for i, row in zip(trees, block.int_rows()):
-        for j, x in zip(trees, row):
-            rows[i][j] = x
-    state.gram[n] = g0 - RationalMatrix.from_int_rows(rows, dim, block.den)
+            rows[j][m] = rows[m][j]
+    for i, row in zip(trees, x.int_rows()):
+        for j, v in zip(trees, row):
+            rows[i][j] = v * (den // x.den)
+    state.gram[n] = RationalMatrix.from_int_rows(rows, forced.cols, den)
 
 
 def build_pairing(
@@ -388,19 +395,11 @@ def check_primitive_orthogonality(state: PairingState, n: int) -> OrthogonalityC
     primitives = structure.primitives(n)
     if _certified(state, n):
         # the kernel is span P, and its canonical basis is P's reduced row-echelon form
-        return OrthogonalityCheck(
-            degree=n,
-            orthogonal_dim=primitives.dim,
-            primitive_dim=primitives.dim,
-            passed=primitives.basis.rref()[0] == primitives.basis,
-        )
-    orthogonal = kernel_basis(decomposables.basis @ state.gram[n])
-    return OrthogonalityCheck(
-        degree=n,
-        orthogonal_dim=orthogonal.dim,
-        primitive_dim=primitives.dim,
-        passed=orthogonal == primitives,
-    )
+        dim, passed = primitives.dim, primitives.basis.rref()[0] == primitives.basis
+    else:
+        orthogonal = kernel_basis(decomposables.basis @ state.gram[n])
+        dim, passed = orthogonal.dim, orthogonal == primitives
+    return OrthogonalityCheck(n, dim, primitives.dim, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ from hopfcalc.catalog import (
     golden_table,
     render_table,
 )
-from hopfcalc.series import SeriesProfile, gate_free_cofree, gate_nck
+from hopfcalc.pairing import build_pairing, check_primitive_orthogonality, verify_hopf_pairing
+from hopfcalc.series import SeriesProfile, gate_free_cofree, gate_nck, p_from_r
+from hopfcalc.structure import HopfStructure
+from hopfcalc.trees import DecorationSet, ForestAlgebra
 
 S_TABLE = {
     "H_NCK": (1, 1, 1, 3, 7, 24, 72, 242),
@@ -123,3 +126,24 @@ def test_ints_rejects_non_integral_series():
     assert _ints(SeriesProfile.make("S", [1, 2])) == (1, 2)
     with pytest.raises(ValueError, match="coefficient 2"):
         _ints(SeriesProfile.make("S", [1, "1/2"]))
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=[e.name for e in CATALOG])
+def test_entry_realized_as_a_tree_algebra(entry):
+    # by R = 1 + D R^2 the tree algebra with d_n letters of degree n has the entry's dimensions;
+    # the series give the expected counts, and the kernel and decomposition the counted ones
+    top = max(n for n, r in enumerate(entry.r_coeffs, 1) if r <= 150)
+    letters = [(f"x{n}_{k}", n) for n, d in enumerate(entry.d_row()[:top], 1) for k in range(d)]
+    structure = HopfStructure(ForestAlgebra(DecorationSet(letters)))
+    assert [structure.algebra.dim(n) for n in range(1, top + 1)] == list(entry.r_coeffs[:top])
+    p = p_from_r(entry.r_series())
+    for n in range(1, top + 1):
+        split = structure.decomposition(n)
+        assert split.primitives.dim == p.coeff(n), n
+        assert split.primitive_generators.dim == entry.s_row()[n - 1], n
+    # the paper's self-duality: the pairing is a nondegenerate Hopf pairing with the base form
+    state = build_pairing(top, structure=structure)
+    assert verify_hopf_pairing(state).passed
+    for n in range(1, top + 1):
+        assert check_primitive_orthogonality(state, n).passed, n
+        assert state.generator_block(n) == state.base_form[n], n

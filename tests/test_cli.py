@@ -332,6 +332,42 @@ def test_nck_caps(capsys, monkeypatch):
         assert code == 3 and "HOPF_CAP" in err and "positive" in err
 
 
+def test_nck_verify_refuses_a_forest_count_over_the_budget(tmp_path, capsys, monkeypatch):
+    # {a:1,b:1} has 8,448 forests at degree 6, and the budget at the cap 7 is Catalan(7) = 429
+    def refuse(*_):
+        raise AssertionError("nck verify built the forest basis")
+
+    monkeypatch.delenv("HOPF_CAP", raising=False)
+    monkeypatch.setattr(trees, "ForestAlgebra", refuse)
+    path = write(tmp_path, "ab.json", '[{"label":"a","degree":1},{"label":"b","degree":1}]')
+    code, out, err = run_cli(capsys, "nck", "verify", "--max-degree", "6", "--decorations", path)
+    assert (code, out) == (4, "")
+    assert "8448 forests" in err and "budget of 429" in err
+    code, _, err = run_cli(capsys, "nck", "verify", "--max-degree", "5", "--decorations", path)
+    assert code == 4 and "1344 forests" in err
+    # HOPF_CAP raises the budget: Catalan(8) = 1430 admits the 1,344 forests at degree 5
+    monkeypatch.setenv("HOPF_CAP", "8")
+    with pytest.raises(AssertionError, match="built the forest basis"):
+        main(["nck", "verify", "--max-degree", "5", "--decorations", path])
+    # dims counts without building, so it has no forest budget
+    code, out, _ = run_cli(capsys, "nck", "dims", "--max-degree", "6", "--decorations", path)
+    assert code == 0 and json.loads(out)["r"][-1] == 8448
+
+
+def test_nck_verify_budget_is_the_default_count_at_the_cap(tmp_path, capsys, monkeypatch):
+    # at the cap 3 the budget is Catalan(3) = 5: the default set's 5 forests pass, and the
+    # 8 of {a:1,b:1} at degree 2 do not; the cap 4 gives 14, which admits them
+    path = write(tmp_path, "ab.json", '[{"label":"a","degree":1},{"label":"b","degree":1}]')
+    monkeypatch.setenv("HOPF_CAP", "3")
+    code, out, _ = run_cli(capsys, "nck", "verify", "--max-degree", "3")
+    assert code == 0 and json.loads(out)["pass"] is True
+    code, out, err = run_cli(capsys, "nck", "verify", "--max-degree", "2", "--decorations", path)
+    assert (code, out) == (4, "") and "8 forests" in err and "budget of 5" in err
+    monkeypatch.setenv("HOPF_CAP", "4")
+    code, out, _ = run_cli(capsys, "nck", "verify", "--max-degree", "2", "--decorations", path)
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
 def test_pairing_build(capsys):
     code, out, _ = run_cli(capsys, "pairing", "build", "--max-degree", "1")
     assert code == 0

@@ -77,8 +77,69 @@ def oracle_extend_degree(
     state.gram[n] = b_inv @ functionals
 
 
-def oracle_grams(built: PairingState) -> dict[int, RationalMatrix]:
-    """Grams of the oracle construction with the structure and base forms of built."""
+def oracle_tree_block_degree(
+    state: PairingState, n: int, split: DegreeDecomposition, form: RationalMatrix
+) -> None:
+    """The degree-n Gram by the general tree-block solve the closed form replaced.
+
+    The rows at the multi-tree forests are forced, and by symmetry so are the
+    tree rows at multi-tree columns: G0 is the Gram with those and a zero tree
+    block.  The generators H = [h; w] must pair as diag(form, 0).  On the tree
+    coordinates H is a square invertible Y, so the tree block is
+    -Y^-1 (H G0 H^T - diag(form, 0)) Y^-T, from two dense products with G0 and
+    a tree x tree inverse.
+    """
+    trees, multi = state.structure.coordinates(n)
+    forced = _forced_products(state, n)
+    dim = forced.cols
+    rows = [[0] * dim for _ in range(dim)]
+    for k, row in zip(multi, forced.int_rows()):
+        rows[k] = list(row)
+        for j in trees:
+            rows[j][k] = row[j]
+    g0 = RationalMatrix.from_int_rows(rows, dim, forced.den)
+    gens = stack_rows([split.primitive_generators.basis, split.residual.basis], cols=dim)
+    t, s = len(trees), form.rows
+    wanted = [list(row) + [0] * (t - s) for row in form.int_rows()] + [[0] * t] * (t - s)
+    excess = gens @ g0 @ gens.transpose() - RationalMatrix.from_int_rows(wanted, t, form.den)
+    y_inv = RationalMatrix.from_int_rows(
+        [[row[j] for j in trees] for row in gens.int_rows()], t, gens.den
+    ).inverse()
+    block = y_inv @ excess @ y_inv.transpose()
+    rows = [[0] * dim for _ in range(dim)]
+    for i, row in zip(trees, block.int_rows()):
+        for j, x in zip(trees, row):
+            rows[i][j] = x
+    state.gram[n] = g0 - RationalMatrix.from_int_rows(rows, dim, block.den)
+
+
+def assert_closed_form_facts(state: PairingState, n: int) -> None:
+    """The three facts behind the closed-form tree block, at degree n.
+
+    The forced rows F vanish on the primitive generators h, the residual rows
+    are unit vectors at tree coordinates, and h on the other tree coordinates
+    is a square invertible h_L.
+    """
+    trees, _ = state.structure.coordinates(n)
+    split = state.structure.decomposition(n)
+    h = split.primitive_generators.basis
+    assert not any((h @ _forced_products(state, n).transpose()).num)
+    residual = split.residual.basis
+    assert residual.den == 1
+    leads = []
+    for row in residual.int_rows():
+        support = [j for j, x in enumerate(row) if x]
+        assert len(support) == 1 and row[support[0]] == 1 and support[0] in trees
+        leads.append(support[0])
+    rest = [j for j in trees if j not in leads]
+    h_l = RationalMatrix.from_int_rows(
+        [[row[j] for j in rest] for row in h.int_rows()], len(rest), h.den
+    )
+    assert h_l.rows == h_l.cols and h_l.det() != 0
+
+
+def oracle_grams(built: PairingState, extend=oracle_extend_degree) -> dict[int, RationalMatrix]:
+    """Grams of an oracle construction with the structure and base forms of built."""
     state = PairingState(
         structure=built.structure,
         max_degree=built.max_degree,
@@ -86,7 +147,7 @@ def oracle_grams(built: PairingState) -> dict[int, RationalMatrix]:
         gram={0: RationalMatrix.identity(1)},
     )
     for n in range(1, built.max_degree + 1):
-        oracle_extend_degree(state, n, built.structure.decomposition(n), built.base_form[n])
+        extend(state, n, built.structure.decomposition(n), built.base_form[n])
     return state.gram
 
 
@@ -506,6 +567,27 @@ def test_pairing_axioms_for_random_base_forms(forms):
     assert built.gram == oracle_grams(built)
     assert all(_certified(built, n) for n in range(1, 5))
     assert_matches_oracle(built)
+
+
+@pytest.mark.parametrize(
+    "letters, top",
+    [((("a", 1),), 6), ((("a", 1), ("b", 2)), 5), ((("a", 1), ("b", 1)), 5)],
+    ids=["a1-d6", "a1b2-d5", "a1b1-d5"],
+)
+def test_grams_equal_tree_block_oracle(letters, top):
+    built = build_pairing(top, structure=HopfStructure(ForestAlgebra(DecorationSet(letters))))
+    for n in range(1, top + 1):
+        assert_closed_form_facts(built, n)
+    assert built.gram == oracle_grams(built, oracle_tree_block_degree)
+
+
+@settings(deadline=None, max_examples=10)
+@given(base_forms({1: 1, 2: 1, 3: 1, 4: 3, 5: 7}))  # primitive-generator counts by degree
+def test_grams_equal_tree_block_oracle_for_random_base_forms(state, forms):
+    built = build_pairing(TOP, base_form=forms, structure=state.structure)
+    for n in range(1, TOP + 1):
+        assert_closed_form_facts(built, n)
+    assert built.gram == oracle_grams(built, oracle_tree_block_degree)
 
 
 def perturbed(g: RationalMatrix, i: int, j: int, delta: Fraction) -> RationalMatrix:
