@@ -81,10 +81,11 @@ def _cap(default: int) -> int:
     raw = os.environ.get("HOPF_CAP")
     if raw is None or raw == "":
         return default
+    # ASCII digits only, as in series coefficients: int() alone also reads '+7', ' 7' and '1_0'
     try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"HOPF_CAP must be an integer, got {raw!r}") from exc
+        cap = int(raw) if raw.isascii() and raw.isdigit() else 0
+    except ValueError:  # more digits than Python converts
+        cap = 0
     if cap < 1:
         raise ValueError(f"HOPF_CAP must be a positive integer, got {raw!r}")
     return cap

@@ -393,21 +393,25 @@ def _pack(values: Sequence[int], size: int) -> int:
 
 
 def kernel_basis(m: RationalMatrix) -> Subspace:
-    """Canonical basis of the right kernel { x : m x = 0 }.
+    """Canonical basis of the right kernel { x : m x = 0 }."""
+    return _kernel(m.int_rows(), m.cols)
+
+
+def _kernel(rows: Iterable[Sequence[int]], n: int) -> Subspace:
+    """Canonical basis of the vectors x of length n with row . x = 0 for every integer row.
 
     One echelon on the columns in reverse order: read back in the original
     order, each free column's vector leads at that column and is zero at every
     other free column, which is already the kernel's reduced row-echelon form.
     """
-    n = m.cols
-    reduced, pivots = _rref((row[::-1] for row in m.int_rows()), n)
-    rows = reduced.int_rows()
+    reduced, pivots = _rref((row[::-1] for row in rows), n)
+    pivot_rows = reduced.int_rows()
     vectors = []
     for f in sorted(set(range(n)) - set(pivots), reverse=True):
         # x_f = 1 and x_p = -reduced[i][f] at the pivot p of each row i, times den, reversed
         v = [0] * n
         v[f] = reduced.den
-        for p, row in zip(pivots, rows):
+        for p, row in zip(pivots, pivot_rows):
             v[p] = -row[f]
         vectors.append(v[::-1])
     return Subspace(n, RationalMatrix.from_int_rows(vectors, n, reduced.den))

@@ -111,7 +111,7 @@ class GateVerdict(Value):
         return {
             "pass": self.passed,
             "first_failure": self.first_failure,
-            "witness": _format_rational(self.witness) if self.witness is not None else None,
+            "witness": str(self.witness) if self.witness is not None else None,
         }
 
 
@@ -298,15 +298,11 @@ def gate_nck(r: SeriesProfile) -> GateVerdict:
 # exchange format
 
 
-def _format_rational(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def series_to_json(series: SeriesProfile) -> str:
     payload = {
         "kind": series.kind,
         "order": series.order,
-        "coeffs": [_format_rational(c) for c in series.coeffs],
+        "coeffs": [str(c) for c in series.coeffs],
     }
     return json.dumps(payload)
 

@@ -10,8 +10,10 @@ structure at desk scale.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ._value import Value
-from .linalg import RationalMatrix, Subspace, _echelon, kernel_basis
+from .linalg import RationalMatrix, Subspace, _echelon, _kernel
 from .trees import ForestAlgebra, memo
 
 
@@ -57,35 +59,31 @@ class HopfStructure:
         self._memo: dict[tuple, object] = {}
 
     def reduced_matrix(self, n: int) -> RationalMatrix:
-        """Matrix of the reduced coproduct on degree n.
+        """Matrix of the reduced coproduct on degree n, with the rows of ``_reduced_rows``."""
+        return RationalMatrix.from_int_rows(list(self._reduced_rows(n)), self.algebra.dim(n))
 
-        Columns run over the degree-n basis; rows over pairs (u, v) of basis
-        forests with degrees (i, n - i) for 1 <= i <= n - 1, ordered by i,
-        then u, then v.
+    def _reduced_rows(self, n: int) -> Iterator[list[int]]:
+        """Rows of the reduced coproduct on degree n, one left degree i at a time.
+
+        Columns run over the degree-n basis; rows over pairs (u, v) of basis forests with
+        degrees (i, n - i) for 1 <= i <= n - 1, ordered by i, then u, then v.
         """
-        if n < 1:
-            raise ValueError("reduced coproduct matrix needs degree >= 1")
         alg = self.algebra
-        dims = [alg.dim(i) for i in range(n)]
-        offsets = {}
-        total = 0
+        table, cols = alg.reduced_table(n), alg.dim(n)
         for i in range(1, n):
-            offsets[i] = total
-            total += dims[i] * dims[n - i]
-        cols = alg.dim(n)
-        entries = [0] * (total * cols)
-        for col, column in enumerate(alg.reduced_table(n)):
-            for i, terms in column.items():
-                for a, b, coeff in terms:
-                    entries[(offsets[i] + a * dims[n - i] + b) * cols + col] = coeff
-        return RationalMatrix(total, cols, tuple(entries))
+            width = alg.dim(n - i)
+            block = [[0] * cols for _ in range(alg.dim(i) * width)]
+            for col, column in enumerate(table):
+                for a, b, coeff in column.get(i, ()):
+                    block[a * width + b][col] = coeff
+            yield from block
 
     @memo
     def primitives(self, n: int) -> Subspace:
         """Kernel of the reduced coproduct on degree n."""
         if n < 1:
             raise ValueError("primitives are graded by degree >= 1")
-        return kernel_basis(self.reduced_matrix(n))
+        return _kernel(self._reduced_rows(n), self.algebra.dim(n))
 
     @memo
     def decomposables(self, n: int) -> Subspace:

@@ -326,7 +326,8 @@ def test_nck_caps(capsys, monkeypatch):
     monkeypatch.setenv("HOPF_CAP", "many")
     code, _, err = run_cli(capsys, "nck", "dims", "--max-degree", "3")
     assert code == 3 and "HOPF_CAP" in err
-    for bad in ("-1", "0"):
+    # ASCII digits only: int() would read the last four as 10, 10, 7 and 7
+    for bad in ("-1", "0", "\u0661\u0660", "1_0", "+7", " 7"):
         monkeypatch.setenv("HOPF_CAP", bad)
         code, _, err = run_cli(capsys, "nck", "verify", "--max-degree", "2")
         assert code == 3 and "HOPF_CAP" in err and "positive" in err

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcalc.linalg import RationalMatrix, Subspace, stack_rows
+from hopfcalc.cli import main
+from hopfcalc.linalg import RationalMatrix, Subspace, kernel_basis, stack_rows
 from hopfcalc.series import SeriesProfile, p_from_r, s_from_r
 from hopfcalc.structure import DegreeDecomposition, FreenessError, HopfStructure
 from hopfcalc.trees import DecorationSet, DegreeZeroInput, ForestAlgebra, parse_forest
@@ -40,8 +41,70 @@ def test_reduced_matrix_shapes(hs):
         m = hs.reduced_matrix(n)
         assert m.cols == alg.dim(n)
         assert m.rows == sum(alg.dim(i) * alg.dim(n - i) for i in range(1, n))
+    # the counts perfbench's self-check expects of the degree-6 layer
+    m = hs.reduced_matrix(6)
+    assert (m.rows, m.cols, sum(1 for x in m.num if x)) == (165, 132, 1976)
     with pytest.raises(ValueError):
         hs.reduced_matrix(0)
+
+
+@pytest.mark.parametrize(
+    "decorations, top",
+    [
+        ((("a", 1),), 7),
+        ((("a", 1), ("b", 2)), 5),
+        ((("a", 1), ("b", 1)), 4),
+        ((("a", 1), ("b", 1), ("c", 1)), 3),
+    ],
+    ids=["a1-d7", "a1b2-d5", "a1b1-d4", "a1b1c1-d3"],
+)
+def test_primitives_match_the_dense_kernel(decorations, top):
+    # primitives read the reduced table row by row; the dense matrix is the oracle
+    structure = HopfStructure(ForestAlgebra(DecorationSet(decorations)))
+    for n in range(1, top + 1):
+        assert structure.primitives(n) == kernel_basis(structure.reduced_matrix(n)), n
+
+
+@pytest.mark.parametrize(
+    "argv, decorations, want",
+    [
+        (
+            ("nck", "verify", "--max-degree", "6"),
+            None,
+            "e724451e1bd02743c847ee06aef7a01652662a17327baace8990fe3c6d52cd2f",
+        ),
+        (
+            ("nck", "verify", "--max-degree", "5"),
+            '[{"label":"a","degree":1},{"label":"b","degree":2}]',
+            "5e57c8a38c8d8f72f9fc8cc66ad93645e10c8b78bd43223fb445cfadc26a84dc",
+        ),
+        (
+            ("pairing", "verify", "--max-degree", "5"),
+            None,
+            "11b5553bf6799f422fe05d950fab4bdcc9e73463328ba0cfdf55d3eeb7426d99",
+        ),
+        (
+            ("pairing", "adapt", "--max-degree", "5"),
+            None,
+            "56a2ecb360a018e87144516e0c237c39de70a50648fc22f869057b1b0a180f28",
+        ),
+    ],
+    ids=["nck-verify-d6", "nck-verify-a1b2-d5", "pairing-verify-d5", "pairing-adapt-d5"],
+)
+def test_commands_never_build_the_dense_reduced_matrix(
+    argv, decorations, want, tmp_path, capsys, monkeypatch
+):
+    def refuse(*_):
+        raise AssertionError("a command built the dense reduced-coproduct matrix")
+
+    monkeypatch.delenv("HOPF_CAP", raising=False)
+    monkeypatch.setattr(HopfStructure, "reduced_matrix", refuse)
+    if decorations is not None:
+        path = tmp_path / "decorations.json"
+        path.write_text(decorations)
+        argv += ("--decorations", str(path))
+    assert main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
 def test_primitive_dims_match_series(hs):
