@@ -77,17 +77,22 @@ def _load_decorations(path: Optional[str]):
         raise ParseFailure(f"invalid decoration input: {exc}") from exc
 
 
-def _cap(default: int) -> int:
+def _degree_cap(max_degree: int, default: int, least: int) -> int:
+    """The degree cap, HOPF_CAP or default, once max_degree is checked against it and least."""
     raw = os.environ.get("HOPF_CAP")
-    if raw is None or raw == "":
-        return default
-    # ASCII digits only, as in series coefficients: int() alone also reads '+7', ' 7' and '1_0'
-    try:
-        cap = int(raw) if raw.isascii() and raw.isdigit() else 0
-    except ValueError:  # more digits than Python converts
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"HOPF_CAP must be a positive integer, got {raw!r}")
+    cap = default
+    if raw:
+        # ASCII digits only, as in series coefficients: int() alone also reads '+7', ' 7' and '1_0'
+        try:
+            cap = int(raw) if raw.isascii() and raw.isdigit() else 0
+        except ValueError:  # more digits than Python converts
+            cap = 0
+        if cap < 1:
+            raise ValueError(f"HOPF_CAP must be a positive integer, got {raw!r}")
+    if max_degree > cap:
+        raise CapExceeded(f"--max-degree {max_degree} exceeds the cap {cap}")
+    if max_degree < least:
+        raise ValueError(f"--max-degree must be >= {least}")
     return cap
 
 
@@ -133,11 +138,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_nck(args: argparse.Namespace) -> int:
-    cap = _cap(NCK_CAP)
-    if args.max_degree > cap:
-        raise CapExceeded(f"--max-degree {args.max_degree} exceeds the cap {cap}")
-    if args.max_degree < 1:
-        raise ValueError("--max-degree must be >= 1")
+    cap = _degree_cap(args.max_degree, NCK_CAP, 1)
     decorations = _load_decorations(args.decorations)
     top = args.max_degree
     # the forests are counted by R = 1 + D R^2, not built; verify builds them
@@ -175,11 +176,7 @@ def cmd_nck(args: argparse.Namespace) -> int:
 
 
 def cmd_pairing(args: argparse.Namespace) -> int:
-    cap = _cap(PAIRING_CAP)
-    if args.max_degree > cap:
-        raise CapExceeded(f"--max-degree {args.max_degree} exceeds the cap {cap}")
-    if args.max_degree < 0:
-        raise ValueError("--max-degree must be >= 0")
+    _degree_cap(args.max_degree, PAIRING_CAP, 0)
     from .pairing import (
         adapt_complement,
         build_pairing,

@@ -17,8 +17,8 @@ The forced values and the multiplicativity check read the same contraction:
 for degrees i and n - i, the reduced table is folded into the columns of the
 larger lower Gram and summed by the rows of the smaller one, which gives the
 pairing of x tensor y against every reduced coproduct for all x and y at
-once.  The check compares those values with the degree-n Gram whole, block by
-block, and scans entry by entry only a block that fails.
+once.  The check compares those values with the degree-n Gram row by row, and
+reads the first failing triple off the rows that differ.
 
 Verification proves each Gram nondegenerate, and the primitives the kernel of
 its rows at the multi-tree forests, by one certificate per degree: an exact
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import eq
 from typing import Optional, Sequence
 
 from ._value import Value
@@ -254,8 +255,9 @@ def _check_multiplicativity(state: PairingState) -> Optional[dict]:
 
     Triples where the pairing degrees disagree vanish on both sides by the
     graded representation, so only matched-degree triples carry content.
-    Each (degree, left degree) block is compared whole, and a failing block
-    is rescanned by z, x, y and side for its first failing triple.
+    Each (degree, left degree) block is compared row by row over z, one row
+    per (x, y, side); the reported triple is the least (z, x, y, side) among
+    the first failing z of each failing row.
     """
     alg = state.structure.algebra
     # <x y, z> = <x (x) y, coproduct of z> reads the lower Grams by rows at x
@@ -274,30 +276,25 @@ def _check_multiplicativity(state: PairingState) -> Optional[dict]:
             wants = (want, want if sides[1] == sides[0] else _contract(terms, *sides[1]))
             scale, den = lower[i].den * lower[k - i].den, gk.den
             products = alg.products(i, k - i)
-            if all(
-                list(map(scale.__mul__, got[side][ixy]))
-                == list(map(den.__mul__, wants[side][ix][iy]))
-                for side in (0, 1)
-                for ix, row in enumerate(products)
-                for iy, ixy in enumerate(row)
-            ):
-                continue
-            xs, ys = alg.basis(i), alg.basis(k - i)
-            for iz, z in enumerate(alg.basis(k)):
-                for ix, x in enumerate(xs):
-                    for iy, y in enumerate(ys):
-                        for side, identity in enumerate(("product-left", "product-right")):
-                            value = got[side][products[ix][iy]][iz]
-                            expected = wants[side][ix][iy][iz]
-                            if value * scale != expected * den:
-                                return {
-                                    "identity": identity,
-                                    "x": x.encode(),
-                                    "y": y.encode(),
-                                    "z": z.encode(),
-                                    "got": str(Fraction(value, den)),
-                                    "want": str(Fraction(expected, scale)),
-                                }
+            misses = []
+            for side in (0, 1):
+                for ix, row in enumerate(products):
+                    for iy, ixy in enumerate(row):
+                        have = list(map(scale.__mul__, got[side][ixy]))
+                        need = list(map(den.__mul__, wants[side][ix][iy]))
+                        if have != need:
+                            iz = list(map(eq, have, need)).index(False)
+                            misses.append((iz, ix, iy, side))
+            if misses:
+                iz, ix, iy, side = min(misses)
+                return {
+                    "identity": ("product-left", "product-right")[side],
+                    "x": alg.basis(i)[ix].encode(),
+                    "y": alg.basis(k - i)[iy].encode(),
+                    "z": alg.basis(k)[iz].encode(),
+                    "got": str(Fraction(got[side][products[ix][iy]][iz], den)),
+                    "want": str(Fraction(wants[side][ix][iy][iz], scale)),
+                }
     return None
 
 
@@ -438,27 +435,26 @@ class AdaptedBasis(Value):
         c = self.core_rows.rows
         m = self.decomposable_complement_rows.rows
         s = self.primitive_generator_rows.rows
-        w = self.residual_rows.rows
-        if w != c:
+        g, top = self.block_gram, c + m + s
+        if self.residual_rows.rows != c or (g.rows, g.cols) != (top + c, top + c):
             return False
-        g = self.block_gram
-        if (g.rows, g.cols) != (c + m + s + w, c + m + s + w):
-            return False
-        edges = [0, c, c + m, c + m + s, c + m + s + w]
-
-        def block(bi: int, bj: int) -> RationalMatrix:
-            lo, hi = edges[bj], edges[bj + 1]
-            rows = [g.int_row(i)[lo:hi] for i in range(edges[bi], edges[bi + 1])]
-            return RationalMatrix.from_int_rows(rows, hi - lo, g.den)
-
-        zero_positions = [(0, 0), (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 3)]
-        for bi, bj in zero_positions:
-            if any(block(bi, bj).num) or any(block(bj, bi).num):
+        # a core or residual row may be nonzero only at its partner's column, where it
+        # reads 1; a complement or generator row only inside its own diagonal block
+        central: tuple[list, list] = ([], [])
+        for r, row in enumerate(g.int_rows()):
+            if c <= r < top:
+                inner = r >= c + m
+                lo, hi = (c + m, top) if inner else (c, c + m)
+                central[inner].append(row[lo:hi])
+            else:
+                lo = r + top if r < c else r - top
+                hi = lo + 1
+                if row[lo] != g.den:
+                    return False
+            if any(row[:lo]) or any(row[hi:]):
                 return False
-        if block(0, 3) != RationalMatrix.identity(c) or block(3, 0) != RationalMatrix.identity(c):
-            return False
-        for bi in (1, 2):
-            diag = block(bi, bi)
+        for rows in central:
+            diag = RationalMatrix.from_int_rows(rows, len(rows), g.den)
             if not diag.is_symmetric() or diag.rank() != diag.rows:
                 return False
         return True

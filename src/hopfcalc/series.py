@@ -40,6 +40,20 @@ class NonIntegerExponent(ValueError):
     """A product (1-h^n)^{p_n} was requested with a non-integer exponent."""
 
 
+def _coefficient(c: Coefficient) -> Fraction:
+    """An int, a Fraction, or a string of series JSON's grammar, as a Fraction."""
+    if type(c) is int or isinstance(c, Fraction):
+        return Fraction(c)
+    if not isinstance(c, str) or not _COEFFICIENT_RE.fullmatch(c):
+        raise ValueError(f"coefficient {c!r} is not an int, Fraction or fraction string")
+    try:
+        return Fraction(c)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {c!r} has a zero denominator") from None
+    except ValueError as exc:  # more digits than Python converts
+        raise ValueError(f"coefficient string: {exc}") from None
+
+
 class SeriesProfile(Value):
     """A truncated series of one of the four kinds, coefficients for h^1..h^order."""
 
@@ -54,10 +68,7 @@ class SeriesProfile(Value):
             raise ValueError(f"order must be an int, got {order!r}")
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        for c in coeffs:
-            if isinstance(c, (float, bool)):
-                raise ValueError(f"coefficient {c!r} is not an int, Fraction or fraction string")
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(map(_coefficient, coeffs))
         if len(coeffs) != order:
             raise ValueError(f"expected {order} coefficients, got {len(coeffs)}")
         super().__init__(kind, order, coeffs)
@@ -317,14 +328,6 @@ def series_from_json(text: str) -> SeriesProfile:
     missing = {"kind", "order", "coeffs"} - payload.keys()
     if missing:
         raise ValueError(f"series JSON missing keys: {sorted(missing)}")
-    kind, order, raw = payload["kind"], payload["order"], payload["coeffs"]
-    if isinstance(order, bool) or not isinstance(order, int) or not isinstance(raw, list):
-        raise ValueError("series JSON: order must be an int and coeffs a list")
-    for c in raw:
-        if type(c) is not int and not (isinstance(c, str) and _COEFFICIENT_RE.fullmatch(c)):
-            raise ValueError(f"series JSON: coefficient {c!r} is not an int or a fraction string")
-    try:
-        coeffs = tuple(Fraction(str(c)) for c in raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"series JSON: bad coefficient ({exc})") from exc
-    return SeriesProfile(kind, order, coeffs)
+    if not isinstance(payload["coeffs"], list):
+        raise ValueError("series JSON: coeffs must be a list")
+    return SeriesProfile(payload["kind"], payload["order"], payload["coeffs"])

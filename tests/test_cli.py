@@ -444,6 +444,15 @@ def test_pairing_degree_5_digest(capsys, monkeypatch, command, want):
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+def test_pairing_adapt_degree_6_digest(capsys, monkeypatch):
+    # recorded from the block-by-block form check; the one-pass row check must match it
+    monkeypatch.setenv("HOPF_CAP", "6")
+    code, out, _ = run_cli(capsys, "pairing", "adapt", "--max-degree", "6")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "f1bbd1731b7f2dc4bfb1f445d7e0f733eb9166dde9db5a67c138243a45b67899"
+
+
 def test_nck_verify_degree_6_digest(capsys, monkeypatch):
     # perfbench/golden.json's nck.verify.d6
     monkeypatch.delenv("HOPF_CAP", raising=False)

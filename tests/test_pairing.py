@@ -373,6 +373,117 @@ def test_block_pattern_rejects_one_fault(adapted5, kind, bi, bj):
     assert not faulty.block_pattern_ok()
 
 
+def oracle_block_pattern_ok(adapted: AdaptedBasis) -> bool:
+    """The block form, tested on each block cut out of the block Gram as its own matrix.
+
+    This is the check the one-pass row walk replaced.
+    """
+    c = adapted.core_rows.rows
+    m = adapted.decomposable_complement_rows.rows
+    s = adapted.primitive_generator_rows.rows
+    w = adapted.residual_rows.rows
+    if w != c:
+        return False
+    g = adapted.block_gram
+    if (g.rows, g.cols) != (c + m + s + w, c + m + s + w):
+        return False
+    edges = [0, c, c + m, c + m + s, c + m + s + w]
+
+    def block(bi: int, bj: int) -> RationalMatrix:
+        lo, hi = edges[bj], edges[bj + 1]
+        rows = [g.int_row(i)[lo:hi] for i in range(edges[bi], edges[bi + 1])]
+        return RationalMatrix.from_int_rows(rows, hi - lo, g.den)
+
+    for bi, bj in ZERO_BLOCKS:
+        if any(block(bi, bj).num) or any(block(bj, bi).num):
+            return False
+    if block(0, 3) != RationalMatrix.identity(c) or block(3, 0) != RationalMatrix.identity(c):
+        return False
+    for bi in (1, 2):
+        diag = block(bi, bi)
+        if not diag.is_symmetric() or diag.rank() != diag.rows:
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def adapted_3_to_5(state):
+    return {n: adapt_complement(state, n) for n in (3, 4, 5)}
+
+
+def singular_congruence(block: list[list[Fraction]], u: list[int], k: int) -> RationalMatrix:
+    """E^T B E for E = I - u e_k^T / u_k: still symmetric, and E u = 0 makes it singular."""
+    d = len(block)
+    rows = [[Fraction(p == q) for q in range(d)] for p in range(d)]
+    for p in range(d):
+        rows[p][k] -= Fraction(u[p], u[k])
+    e = RationalMatrix.from_rows(rows)
+    return e.transpose() @ RationalMatrix.from_rows(block) @ e
+
+
+@pytest.mark.parametrize("fault", ["none", "entries", "asymmetric", "singular", "shape", "residual"])
+@settings(deadline=None, max_examples=30)
+@given(data=strategies.data())
+def test_block_pattern_matches_oracle_under_a_fault(adapted_3_to_5, fault, data):
+    adapted = adapted_3_to_5[data.draw(strategies.integers(3, 5), label="degree")]
+    c, m, s, w = adapted.to_json()["block_dims"]
+    rows, residual = adapted.block_gram.to_rows(), adapted.residual_rows
+    if fault == "entries":  # one or two entries move, in any block and often at its edge
+        edges = [0, c, c + m, c + m + s, len(rows)]
+        ends = sorted({e for e in edges[:-1]} | {e - 1 for e in edges[1:]})
+        coordinate = strategies.sampled_from(ends) | strategies.integers(0, len(rows) - 1)
+        for _ in range(data.draw(strategies.integers(1, 2), label="entries")):
+            i, j, delta = data.draw(strategies.tuples(coordinate, coordinate, RATIONALS.filter(bool)))
+            rows[i][j] += delta
+    elif fault in ("asymmetric", "singular"):  # in one of the two central diagonal blocks
+        blocks = [(lo, hi) for lo, hi in [(c, c + m), (c + m, c + m + s)] if hi - lo >= 2]
+        lo, hi = data.draw(strategies.sampled_from(blocks), label="block")
+        index = strategies.integers(lo, hi - 1)
+        if fault == "asymmetric":
+            i = data.draw(index, label="row")
+            j = data.draw(index.filter(lambda j: j != i), label="column")
+            rows[i][j] += data.draw(RATIONALS.filter(bool), label="delta")
+        else:
+            size = hi - lo
+            u = data.draw(strategies.lists(strategies.integers(-2, 2), min_size=size, max_size=size))
+            k = data.draw(strategies.integers(0, size - 1), label="pivot")
+            u[k] = u[k] or 1
+            block = singular_congruence([row[lo:hi] for row in rows[lo:hi]], u, k)
+            for a, values in enumerate(block.to_rows()):
+                rows[lo + a][lo:hi] = values
+    elif fault == "shape":
+        cut = data.draw(strategies.sampled_from(["row", "column", "both", "grow"]), label="shape")
+        if cut in ("row", "both"):
+            rows.pop()
+        if cut in ("column", "both"):
+            rows = [row[:-1] for row in rows]
+        if cut == "grow":
+            rows = [row + [0] for row in rows] + [[0] * (len(rows) + 1)]
+    elif fault == "residual":  # a residual count other than the core count
+        grow = data.draw(strategies.booleans(), label="grow")
+        if grow:
+            residual = stack_rows([residual, _row_block(adapted.core_rows, 0, 1)])
+        else:
+            residual = _row_block(residual, 0, w - 1)
+        if data.draw(strategies.booleans(), label="refit the Gram"):
+            size = len(rows) + (1 if grow else -1)
+            rows = [(row + [0])[:size] for row in rows[:size]] + [[0] * size] * grow
+    faulty = AdaptedBasis(
+        adapted.degree,
+        adapted.core_rows,
+        adapted.decomposable_complement_rows,
+        adapted.primitive_generator_rows,
+        residual,
+        block_gram=RationalMatrix.from_rows(rows),
+    )
+    verdict = faulty.block_pattern_ok()
+    assert verdict == oracle_block_pattern_ok(faulty)
+    if fault == "none":
+        assert verdict
+    elif fault != "entries":
+        assert not verdict
+
+
 def test_fault_injection_zeroed_gram():
     st = build_pairing(2)
     st.gram[2] = RationalMatrix.zeros(2, 2)

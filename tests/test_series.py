@@ -11,6 +11,7 @@ route R = 2/(1 + sqrt(1 - 4D)) for r_from_d.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -584,7 +585,7 @@ def test_profile_validation():
 
 
 def test_profile_rejects_float_and_bool():
-    for bad in ([0.1], [True], [1, False], [Fraction(1, 2), 2.0]):
+    for bad in ([0.1], [True], [1, False], [Fraction(1, 2), 2.0], [None], [b"1"]):
         with pytest.raises(ValueError):
             P("R", bad)
         with pytest.raises(ValueError):
@@ -592,6 +593,17 @@ def test_profile_rejects_float_and_bool():
     with pytest.raises(ValueError):
         SeriesProfile("R", True, (Fraction(1),))
     assert P("R", [1, Fraction(1, 2), "-3/4"]).coeffs == (1, Fraction(1, 2), Fraction(-3, 4))
+
+
+@pytest.mark.parametrize(
+    "bad", ["1/0", "-3/00", " 7 ", "7\n", "1e3", "1_000", "\u0661", "0.5", "1/-2", "+-1", ""]
+)
+def test_profile_rejects_strings_outside_the_grammar(bad):
+    # one grammar for the API and the exchange format, and a zero denominator is a ValueError
+    with pytest.raises(ValueError):
+        P("R", [1, bad])
+    with pytest.raises(ValueError):
+        series_from_json(json.dumps({"kind": "R", "order": 2, "coeffs": ["1", bad]}))
 
 
 def test_kind_checks():
