@@ -104,14 +104,3 @@ def render_table(which: str, max_n: int = TABLE_ORDER) -> str:
         row = entry.s_row() if which == "s" else entry.d_row()
         lines.append(entry.name + "," + ",".join(str(v) for v in row[:max_n]))
     return "\n".join(lines)
-
-
-def golden_table(which: str) -> str:
-    """Text of the bundled reference CSV for the s or d table."""
-    if which not in ("s", "d"):
-        raise ValueError(f"table must be 's' or 'd', got {which!r}")
-    from importlib import resources  # only the tests read the bundled tables
-
-    return (
-        resources.files("hopfcalc").joinpath(f"data/{which}_table.csv").read_text(encoding="ascii")
-    )

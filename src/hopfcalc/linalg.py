@@ -3,11 +3,11 @@
 A :class:`RationalMatrix` stores int numerators, row-major, over one positive
 common denominator kept in lowest terms, so equal matrices have equal fields.
 Products, differences, transposes and symmetry checks run in ``int``;
-``Fraction`` values appear only in the views (``entries``, ``row``, ``at``,
-``to_rows``) and in the scalar results of ``det`` and ``apply``.  The one
-product, ``@``, walks the left operand's nonzeros: each row of A B sums B's
-rows at that row's nonzeros, so a sparse block basis times a Gram costs its
-nonzeros, not its width.
+``Fraction`` values appear only in the views (``entries``, ``row`` and
+``to_rows``) and in the scalar result of ``det``.  The one product, ``@``,
+walks the left operand's nonzeros: each row of A B sums B's rows at that
+row's nonzeros, so a sparse block basis times a Gram costs its nonzeros, not
+its width.
 
 Every exact elimination goes through one fraction-free echelon, ``_echelon``:
 integer rows are reduced in turn against the pivot rows found so far, by
@@ -34,7 +34,6 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from ._value import Value
@@ -105,17 +104,10 @@ class RationalMatrix(Value):
     def identity(cls, n: int) -> RationalMatrix:
         return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> RationalMatrix:
-        return cls(rows, cols, (0,) * (rows * cols))
-
     @property
     def entries(self) -> tuple[Fraction, ...]:
         """Row-major values."""
         return tuple(Fraction(x, self.den) for x in self.num)
-
-    def at(self, i: int, j: int) -> Fraction:
-        return Fraction(self.num[i * self.cols + j], self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.int_row(i))
@@ -158,13 +150,6 @@ class RationalMatrix(Value):
         a, b = den // self.den, den // other.den
         flat = tuple(a * x - b * y for x, y in zip(self.num, other.num))
         return RationalMatrix(self.rows, self.cols, flat, den)
-
-    def apply(self, vector: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        if len(vector) != self.cols:
-            raise ValueError(f"vector of length {len(vector)} against {self.cols} columns")
-        vec, den = _clear(vector)
-        den *= self.den
-        return tuple(Fraction(sum(map(mul, row, vec)), den) for row in self.int_rows())
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self.num == self.transpose().num
@@ -328,9 +313,6 @@ class Subspace(Value):
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def basis_rows(self) -> list[list[Fraction]]:
-        return self.basis.to_rows()
 
 
 # the largest prime below 2**30: every residue is one CPython digit, and a

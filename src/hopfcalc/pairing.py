@@ -76,7 +76,7 @@ def _validate_base_form(form: RationalMatrix, size: int, n: int) -> None:
         )
     if not form.is_symmetric():
         raise ValueError(f"base form at degree {n} is not symmetric")
-    if size and form.det() == 0:
+    if rank_mod_p(form.int_rows()) < size and form.det() == 0:
         raise DegenerateBaseForm(f"base form at degree {n} is singular")
 
 
@@ -420,17 +420,6 @@ class AdaptedBasis(Value):
     residual_rows: RationalMatrix
     block_gram: RationalMatrix
 
-    def stacked(self) -> RationalMatrix:
-        return stack_rows(
-            [
-                self.core_rows,
-                self.decomposable_complement_rows,
-                self.primitive_generator_rows,
-                self.residual_rows,
-            ],
-            cols=self.core_rows.cols,
-        )
-
     def block_pattern_ok(self) -> bool:
         c = self.core_rows.rows
         m = self.decomposable_complement_rows.rows
@@ -455,7 +444,10 @@ class AdaptedBasis(Value):
                 return False
         for rows in central:
             diag = RationalMatrix.from_int_rows(rows, len(rows), g.den)
-            if not diag.is_symmetric() or diag.rank() != diag.rows:
+            if not diag.is_symmetric():
+                return False
+            # full rank modulo the prime proves it; short of that the exact rank decides
+            if rank_mod_p(rows) < diag.rows and diag.rank() < diag.rows:
                 return False
         return True
 

@@ -128,10 +128,6 @@ class Forest(Value):
     def encode(self) -> str:
         return " ".join(t.encode() for t in self.trees) if self.trees else "1"
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.trees
-
     def __mul__(self, other: Forest) -> Forest:
         return Forest(self.trees + other.trees)
 

@@ -13,9 +13,10 @@ import pytest
 
 import hopfcalc
 from hopfcalc import trees
-from hopfcalc.catalog import golden_table, render_table
+from hopfcalc.catalog import render_table
 from hopfcalc.cli import main
 from hopfcalc.trees import DecorationSet, ForestAlgebra
+from test_catalog import golden_table
 
 CATALAN = '{"kind": "R", "order": 8, "coeffs": ["1","2","5","14","42","132","429","1430"]}'
 S110 = '{"kind": "S", "order": 3, "coeffs": ["1","1","0"]}'
@@ -472,13 +473,15 @@ def test_nck_verify_two_letters_degree_5_digest(capsys, monkeypatch, tmp_path):
     assert digest == "5e57c8a38c8d8f72f9fc8cc66ad93645e10c8b78bd43223fb445cfadc26a84dc"
 
 
-def test_pairing_verify_falls_back_to_exact_checks(capsys, monkeypatch):
-    # modulo 2 the ranks of the degree 2-5 certificates come up short on a valid pairing
+def test_pairing_falls_back_to_exact_checks(capsys, monkeypatch):
+    # modulo 2 the ranks of the degree 2-5 certificates and of some central blocks of the
+    # block form come up short on a valid pairing
     from hopfcalc import linalg, pairing
 
     monkeypatch.delenv("HOPF_CAP", raising=False)
-    dets, kernels = [], []  # sizes of the matrices the exact path reduced
+    dets, kernels, ranks = [], [], []  # sizes of the matrices the exact path reduced
     exact_det, exact_kernel = linalg.RationalMatrix.det, pairing.kernel_basis
+    exact_rank = linalg.RationalMatrix.rank
 
     def det(m):
         dets.append(m.rows)
@@ -488,18 +491,45 @@ def test_pairing_verify_falls_back_to_exact_checks(capsys, monkeypatch):
         kernels.append(m.cols)
         return exact_kernel(m)
 
+    def rank(m):
+        ranks.append(m.rows)
+        return exact_rank(m)
+
     monkeypatch.setattr(linalg.RationalMatrix, "det", det)
     monkeypatch.setattr(pairing, "kernel_basis", kernel_basis)
-    argv = ("pairing", "verify", "--max-degree", "5")
-    code, certified, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(linalg.RationalMatrix, "rank", rank)
+    verify = ("pairing", "verify", "--max-degree", "5")
+    adapt = ("pairing", "adapt", "--max-degree", "5")
+    code, certified, _ = run_cli(capsys, *verify)
     assert code == 0
     assert 42 not in dets and kernels == []
+    code, adapted, _ = run_cli(capsys, *adapt)
+    assert code == 0
+    assert ranks == []
     monkeypatch.setattr(linalg, "PRIME", 2)
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, *verify)
     assert code == 0
     assert out == certified
     assert {2, 5, 14, 42} <= set(dets)
     assert kernels == [2, 5, 14, 42]
+    code, out, _ = run_cli(capsys, *adapt)
+    assert code == 0
+    assert out == adapted
+    # the degree-5 complement and generator blocks among them
+    assert {7, 21} <= set(ranks)
+
+
+def test_exact_fallback_accepts_a_form_singular_modulo_the_prime():
+    # [[PRIME]] has rank 0 modulo PRIME: only the exact det and rank can accept it
+    from hopfcalc.linalg import PRIME, RationalMatrix
+    from hopfcalc.pairing import adapt_complement, build_pairing
+
+    form = RationalMatrix(1, 1, (PRIME,))
+    state = build_pairing(1, base_form={1: form})
+    adapted = adapt_complement(state, 1)
+    # degree 1 is one primitive generator, so the block Gram is its central block
+    assert adapted.block_gram == form
+    assert adapted.block_pattern_ok()
 
 
 def test_argparse_usage_error():
@@ -594,7 +624,7 @@ def test_pairing_verify_under_optimize(tmp_path):
         "from hopfcalc.linalg import RationalMatrix\n"
         "from hopfcalc.pairing import build_pairing, verify_hopf_pairing\n"
         "state = build_pairing(3)\n"
-        "state.gram[3] = RationalMatrix.zeros(5, 5)\n"
+        "state.gram[3] = RationalMatrix(5, 5, (0,) * 25)\n"
         "print(json.dumps(verify_hopf_pairing(state).checks[-1].to_json()))\n"
     )
     proc = subprocess.run(

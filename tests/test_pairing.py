@@ -196,7 +196,7 @@ def test_low_degree_grams_frozen(state):
     alg = state.structure.algebra
     two_dots = alg.index(parse_forest("a[] a[]"))
     ladder = alg.index(parse_forest("a[a[]]"))
-    assert state.gram[2].at(two_dots, ladder) == 1
+    assert state.gram[2].row(two_dots)[ladder] == 1
 
 
 def test_gram_json_frozen(state):
@@ -240,7 +240,7 @@ def test_restriction_equals_base_form(state):
 
 def dense_generator_block(state: PairingState, n: int) -> RationalMatrix:
     """H G H^T by Fraction loops over the entries, H the primitive-generator rows."""
-    h = state.structure.decomposition(n).primitive_generators.basis_rows()
+    h = state.structure.decomposition(n).primitive_generators.basis.to_rows()
     g = state.gram[n].to_rows()
     hg = [
         [sum((x * row[j] for x, row in zip(hr, g)), Fraction(0)) for j in range(len(g))]
@@ -268,15 +268,15 @@ def test_generator_block_matches_dense_products(state):
 def test_generator_functionals_consistency(state):
     for n in range(1, TOP + 1):
         split = state.structure.decomposition(n)
-        gens = split.primitive_generators.basis_rows() + split.residual.basis_rows()
+        gens = split.primitive_generators.basis.to_rows() + split.residual.basis.to_rows()
         funcs = RationalMatrix.from_rows(gens, cols=state.structure.algebra.dim(n)) @ state.gram[n]
         # generator functionals vanish on the residual block, and the
         # primitive-generator ones vanish on the decomposables too
         for i in range(funcs.rows):
-            for w in split.residual.basis_rows():
+            for w in split.residual.basis.to_rows():
                 assert sum(a * b for a, b in zip(funcs.row(i), w)) == 0
         for i in range(split.primitive_generators.dim):
-            for d in split.decomposables.basis_rows():
+            for d in split.decomposables.basis.to_rows():
                 assert sum(a * b for a, b in zip(funcs.row(i), d)) == 0
 
 
@@ -315,7 +315,13 @@ def test_adapt_preserves_spans(state):
         assert span_ops(split.core, new_m).sum == split.decomposables
         assert span_ops(split.core, new_m).intersection.dim == 0
         assert Subspace.span(dim, adapted.residual_rows.to_rows()) == split.residual
-        assert adapted.stacked().rank() == dim
+        blocks = (
+            adapted.core_rows,
+            adapted.decomposable_complement_rows,
+            adapted.primitive_generator_rows,
+            adapted.residual_rows,
+        )
+        assert stack_rows(blocks).rank() == dim
 
 
 def test_adapt_is_noop_when_core_trivial(state):
@@ -325,7 +331,7 @@ def test_adapt_is_noop_when_core_trivial(state):
         assert adapted.core_rows.rows == 0
         assert adapted.residual_rows.rows == 0
         assert adapted.decomposable_complement_rows.to_rows() == (
-            split.decomposable_complement.basis_rows()
+            split.decomposable_complement.basis.to_rows()
         )
 
 
@@ -486,7 +492,7 @@ def test_block_pattern_matches_oracle_under_a_fault(adapted_3_to_5, fault, data)
 
 def test_fault_injection_zeroed_gram():
     st = build_pairing(2)
-    st.gram[2] = RationalMatrix.zeros(2, 2)
+    st.gram[2] = RationalMatrix(2, 2, (0,) * 4)
     report = verify_hopf_pairing(st)
     assert not report.passed
     by_name = {c.name: c for c in report.checks}
@@ -584,7 +590,7 @@ def test_fault_injection_missing_degree():
 
 def test_base_form_validation():
     with pytest.raises(DegenerateBaseForm):
-        build_pairing(1, base_form={1: RationalMatrix.zeros(1, 1)})
+        build_pairing(1, base_form={1: RationalMatrix(1, 1, (0,))})
     with pytest.raises(ValueError):
         build_pairing(1, base_form={1: RationalMatrix.identity(2)})
     with pytest.raises(ValueError):
@@ -710,9 +716,14 @@ def perturbed(g: RationalMatrix, i: int, j: int, delta: Fraction) -> RationalMat
     return RationalMatrix.from_rows(rows)
 
 
+def times(g: RationalMatrix, x) -> list[Fraction]:
+    """G x, through the product by a one-column matrix."""
+    return [v for (v,) in (g @ RationalMatrix.from_rows([[a] for a in x])).to_rows()]
+
+
 def with_null_vector(g: RationalMatrix, x) -> RationalMatrix:
     """G - (G x)(G x)^T / (x^T G x): symmetric, and G x = 0 afterwards."""
-    gx = g.apply(x)
+    gx = times(g, x)
     scale = sum(a * b for a, b in zip(x, gx))
     return g - RationalMatrix.from_rows([[a * b / scale for b in gx] for a in gx])
 
@@ -746,7 +757,7 @@ def test_certificate_matches_exact_oracle_under_a_fault(fault, forms, data):
     dim = g.cols
     coordinate = strategies.integers(0, dim - 1)
     if fault == "zeroed-gram":
-        built.gram[n] = RationalMatrix.zeros(dim, dim)
+        built.gram[n] = RationalMatrix(dim, dim, (0,) * dim**2)
     elif fault == "gram-pair":
         i, j, delta = data.draw(strategies.tuples(coordinate, coordinate, RATIONALS.filter(bool)))
         built.gram[n] = perturbed(g, i, j, delta)
@@ -758,18 +769,18 @@ def test_certificate_matches_exact_oracle_under_a_fault(fault, forms, data):
     elif fault == "multi-tree-null":
         # a multi-tree forest's unit vector becomes a null vector: P G is unchanged
         _, multi = built.structure.coordinates(n)
-        k = data.draw(strategies.sampled_from([k for k in multi if g.at(k, k)]), label="forest")
+        k = data.draw(strategies.sampled_from([k for k in multi if g.row(k)[k]]), label="forest")
         built.gram[n] = with_null_vector(g, [int(j == k) for j in range(dim)])
     elif fault == "primitive-null":
         # a primitive vector becomes a null vector: only the tree block moves, so M is unchanged
-        rows = built.structure.primitives(n).basis_rows()
+        rows = built.structure.primitives(n).basis.to_rows()
         x = combination(rows, data.draw(weights(len(rows))))
-        assume(sum(a * b for a, b in zip(x, g.apply(x))))
+        assume(sum(a * b for a, b in zip(x, times(g, x))))
         built.gram[n] = with_null_vector(g, x)
     else:
         # an integer combination of the basis rows: zero, a repeat, a multiple or another
         # basis of the same span; optionally pushed off it at one coordinate
-        rows = built.structure.primitives(n).basis_rows()
+        rows = built.structure.primitives(n).basis.to_rows()
         r = data.draw(strategies.integers(0, len(rows) - 1), label="row")
         rows[r] = combination(rows, data.draw(weights(len(rows))))
         if data.draw(strategies.booleans(), label="off the span"):
@@ -792,7 +803,7 @@ def test_certificate_on_a_wrong_primitive():
 def test_certificate_on_another_basis_of_the_primitives():
     # the certificate still proves nondegeneracy, but the kernel's canonical basis is not P
     st = build_pairing(4)
-    rows = st.structure.primitives(4).basis_rows()
+    rows = st.structure.primitives(4).basis.to_rows()
     rows[0] = [x + y for x, y in zip(rows[0], rows[1])]
     with_primitives(st, 4, rows)
     assert _certified(st, 4)
@@ -806,7 +817,7 @@ def test_certificate_verdict_follows_a_replaced_gram():
     st = build_pairing(3)
     assert verify_hopf_pairing(st).passed
     assert check_primitive_orthogonality(st, 3).passed
-    st.gram[3] = RationalMatrix.zeros(5, 5)
+    st.gram[3] = RationalMatrix(5, 5, (0,) * 25)
     by_name = {c.name: c for c in verify_hopf_pairing(st).checks}
     assert by_name["nondegeneracy"].counterexample == {"degree": 3, "det": "0"}
     assert check_primitive_orthogonality(st, 3).to_json() == oracle_orthogonality(st, 3).to_json()
@@ -825,6 +836,9 @@ def test_each_certificate_is_computed_once_per_gram_and_primitives(monkeypatch):
 
     monkeypatch.setattr(pairing, "rank_mod_p", counted)
     st = build_pairing(6)
+    # the build ranks each degree's base form once
+    assert len(ranks) == 6
+    ranks.clear()
     # verify and the orthogonality checks share one certificate per degree: two ranks each
     assert verify_hopf_pairing(st).passed
     assert all(check_primitive_orthogonality(st, n).passed for n in range(1, 7))
@@ -832,14 +846,14 @@ def test_each_certificate_is_computed_once_per_gram_and_primitives(monkeypatch):
     assert verify_hopf_pairing(st).passed
     assert len(ranks) == 12
     built = st.gram[3]
-    st.gram[3] = RationalMatrix.zeros(5, 5)
+    st.gram[3] = RationalMatrix(5, 5, (0,) * 25)
     by_name = {c.name: c for c in verify_hopf_pairing(st).checks}
     assert by_name["nondegeneracy"].counterexample == {"degree": 3, "det": "0"}
     assert len(ranks) == 13
     st.gram[3] = built
     assert verify_hopf_pairing(st).passed
     assert len(ranks) == 13
-    rows = st.structure.primitives(4).basis_rows()
+    rows = st.structure.primitives(4).basis.to_rows()
     rows[0] = [x + y for x, y in zip(rows[0], rows[1])]
     with_primitives(st, 4, rows)
     assert verify_hopf_pairing(st).passed

@@ -109,14 +109,14 @@ def span_ops(a: Subspace, b: Subspace) -> SpanParts:
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch(f"ambient dimensions {a.ambient_dim} != {b.ambient_dim}")
     n = a.ambient_dim
-    a_rows = a.basis_rows()
-    b_rows = b.basis_rows()
+    a_rows = a.basis.to_rows()
+    b_rows = b.basis.to_rows()
     total = Subspace.span(n, a_rows + b_rows)
 
     stacked = RationalMatrix.from_rows(a_rows + b_rows, cols=n)
     left_kernel = kernel_basis(stacked.transpose())
     meet_vectors = []
-    for combo in left_kernel.basis_rows():
+    for combo in left_kernel.basis.to_rows():
         x = combo[: a.dim]
         vec = [Fraction(0)] * n
         for coeff, row in zip(x, a_rows):
@@ -150,7 +150,7 @@ def oracle_decomposition(structure: HopfStructure, n: int) -> DegreeDecompositio
     )
     core = span_ops(prim, dec).intersection
     spanned = span_ops(prim, dec).sum
-    kept = extend_independent(spanned.basis_rows(), RationalMatrix.identity(dim).to_rows(), dim)
+    kept = extend_independent(spanned.basis.to_rows(), RationalMatrix.identity(dim).to_rows(), dim)
     return DegreeDecomposition(
         degree=n,
         primitives=prim,
@@ -192,9 +192,9 @@ def test_span_ops_modularity_and_complement_randomized():
         assert parts.sum.dim + parts.intersection.dim == a.dim + b.dim
         # a ⊕ complement = sum
         assert parts.complement_of_a_in_sum.dim == parts.sum.dim - a.dim
-        joined = Subspace.span(n, a.basis_rows() + parts.complement_of_a_in_sum.basis_rows())
+        joined = Subspace.span(n, a.basis.to_rows() + parts.complement_of_a_in_sum.basis.to_rows())
         assert joined == parts.sum
-        for v in parts.intersection.basis_rows():
+        for v in parts.intersection.basis.to_rows():
             assert contains(a, v) and contains(b, v)
 
 

@@ -32,7 +32,7 @@ def test_reduced_matrix_degree_2_frozen(hs):
     # single row: the pair (dot, dot); columns in basis order (2 dots, ladder)
     assert (m.rows, m.cols) == (1, 2)
     assert m.to_rows() == [[2, 1]]
-    assert hs.primitives(2).basis_rows() == [[1, -2]]
+    assert hs.primitives(2).basis.to_rows() == [[1, -2]]
 
 
 def test_reduced_matrix_shapes(hs):
@@ -118,7 +118,7 @@ def test_primitive_dims_match_series(hs):
 def test_decomposables_dims_and_freeness(hs):
     alg = hs.algebra
     assert hs.decomposables(1).dim == 0
-    assert hs.decomposables(2).basis_rows() == [[1, 0]]  # the two-dot forest
+    assert hs.decomposables(2).basis.to_rows() == [[1, 0]]  # the two-dot forest
     assert hs.decomposables(4).dim == 9  # total 14 minus 5 single trees
     for n in range(1, TOP + 1):
         multi = [
@@ -240,7 +240,7 @@ def test_residual_rows_are_unit_vectors(hs):
     # the residual complement is picked greedily from canonical unit vectors,
     # so its echelon basis is a set of unit vectors
     for n in range(1, TOP + 1):
-        for row in hs.decomposition(n).residual.basis_rows():
+        for row in hs.decomposition(n).residual.basis.to_rows():
             assert sorted(row) == [0] * (len(row) - 1) + [1]
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hopfcalc.linalg import RationalMatrix
 from hopfcalc.series import SeriesProfile, r_from_d
 from hopfcalc.structure import HopfStructure
 from hopfcalc.trees import (
@@ -342,8 +343,8 @@ def test_counit_law():
     for n in range(5):
         for f in alg.basis(n):
             terms = alg.coproduct_terms(f)
-            left_unit = {r: c for (l, r), c in terms.items() if l.is_unit}
-            right_unit = {l: c for (l, r), c in terms.items() if r.is_unit}
+            left_unit = {r: c for (l, r), c in terms.items() if not l.trees}
+            right_unit = {l: c for (l, r), c in terms.items() if not r.trees}
             assert left_unit == {f: 1}
             assert right_unit == {f: 1}
 
@@ -440,8 +441,9 @@ def test_reduced_matrix_is_linear():
     alg = ForestAlgebra()
     reduced = HopfStructure(alg).reduced_matrix(2)
     x = [3 * a - b for a, b in zip(unit(alg, LADDER2), unit(alg, TWO_DOTS))]
-    assert reduced.apply(x) == (1,)  # dot (x) dot: 3*1 - 2
-    assert reduced.apply([0, 0]) == (0,)
+    column = RationalMatrix.from_rows([[v] for v in x])
+    assert (reduced @ column).to_rows() == [[1]]  # dot (x) dot: 3*1 - 2
+    assert (reduced @ RationalMatrix(2, 1, (0, 0))).to_rows() == [[0]]
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,7 +16,7 @@ from hopfcalc.structure import DegreeDecomposition, HopfStructure
 from hopfcalc.trees import DecorationSet, Forest, Tree
 
 ONE = RationalMatrix.identity(1)
-LINE, ZERO = Subspace(1, ONE), Subspace(1, RationalMatrix.zeros(0, 1))
+LINE, ZERO = Subspace(1, ONE), Subspace(1, RationalMatrix(0, 1, ()))
 
 # class, keyword arguments (defaulted fields left out), one changed field,
 # and arguments that the constructor must reject, with the exception
@@ -38,7 +38,7 @@ CASES = [
     (
         Subspace,
         {"ambient_dim": 1, "basis": ONE},
-        ("basis", RationalMatrix.zeros(0, 1)),
+        ("basis", RationalMatrix(0, 1, ())),
         ({"ambient_dim": 2}, AmbientMismatch),
     ),
     (DecorationSet, {"entries": (("a", 1),)}, ("entries", (("b", 1),)), ({"entries": ()}, ValueError)),
@@ -61,7 +61,7 @@ CASES = [
     (
         PairingState,
         {"structure": HopfStructure(), "max_degree": 0, "base_form": {}, "gram": {0: ONE}},
-        ("gram", {0: RationalMatrix.zeros(1, 1)}),
+        ("gram", {0: RationalMatrix(1, 1, (0,))}),
         None,
     ),
     (PairingCheck, {"name": "symmetry", "passed": True}, ("counterexample", {"degree": 1}), None),
@@ -76,10 +76,10 @@ CASES = [
         AdaptedBasis,
         {
             "degree": 1,
-            "core_rows": RationalMatrix.zeros(0, 1),
-            "decomposable_complement_rows": RationalMatrix.zeros(0, 1),
+            "core_rows": RationalMatrix(0, 1, ()),
+            "decomposable_complement_rows": RationalMatrix(0, 1, ()),
             "primitive_generator_rows": ONE,
-            "residual_rows": RationalMatrix.zeros(0, 1),
+            "residual_rows": RationalMatrix(0, 1, ()),
             "block_gram": ONE,
         },
         ("degree", 2),
