@@ -3,9 +3,9 @@ tree Hopf algebra analyses.
 
 Exit codes form a contract: 0 success or pass, 1 failed gate or failed
 verification, 2 unreadable or malformed input, 3 domain error (bad values in
-well-formed input), 4 resource cap exceeded, 141 stdout closed before the
-output was written.  The environment variable HOPF_CAP overrides the degree
-caps of the nck and pairing commands.
+well-formed input), 4 resource cap exceeded or exhausted, 141 stdout closed
+before the output was written.  The environment variable HOPF_CAP overrides
+the degree caps of the nck and pairing commands.
 """
 
 from __future__ import annotations
@@ -269,10 +269,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader closed stdout; keep the interpreter's exit flush quiet
+    except OSError as exc:
+        # input errors are ParseFailures by now, so stdout refused the output (a closed
+        # pipe or a full disk); keep the interpreter's exit flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141  # what a shell reports for a process killed by SIGPIPE
+        if isinstance(exc, BrokenPipeError):  # the reader closed it
+            return 141  # what a shell reports for a process killed by SIGPIPE
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 4
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -260,40 +260,37 @@ def _check_multiplicativity(state: PairingState) -> Optional[dict]:
     the first failing z of each failing row.
     """
     alg = state.structure.algebra
-    # <x y, z> = <x (x) y, coproduct of z> reads the lower Grams by rows at x
-    # and y; its mirror <z, x y> reads them by columns.  Both sides are
-    # compared as numerators over the product of the Grams' denominators.
-    lower = {n: state.gram[n] for n in range(1, state.max_degree)}
-    mirrored = {n: g.transpose() for n, g in lower.items()}
+    # <x y, z> = <x (x) y, coproduct of z> reads the Grams by rows; its mirror <z, x y> is
+    # the same pass on the transposed Grams, so it runs only if some Gram is asymmetric
+    grams = {n: state.gram[n] for n in range(1, state.max_degree + 1)}
+    views = [grams]
+    if not all(g.is_symmetric() for g in grams.values()):
+        views.append({n: g.transpose() for n, g in grams.items()})
     for k in range(2, state.max_degree + 1):
-        gk, table = state.gram[k], alg.reduced_table(k)
-        got = (gk.int_rows(), gk.transpose().int_rows())
+        table = alg.reduced_table(k)
         for i in range(1, k):
             terms = [column.get(i, ()) for column in table]
-            sides = (lower[i], lower[k - i]), (mirrored[i], mirrored[k - i])
-            want = _contract(terms, *sides[0])
-            # for symmetric lower Grams the mirror reads the same values
-            wants = (want, want if sides[1] == sides[0] else _contract(terms, *sides[1]))
-            scale, den = lower[i].den * lower[k - i].den, gk.den
-            products = alg.products(i, k - i)
-            misses = []
-            for side in (0, 1):
+            # both sides as numerators over the product of the Grams' denominators
+            scale, den = grams[i].den * grams[k - i].den, grams[k].den
+            products, misses = alg.products(i, k - i), []
+            for side, view in enumerate(views):
+                got, want = view[k].int_rows(), _contract(terms, view[i], view[k - i])
                 for ix, row in enumerate(products):
                     for iy, ixy in enumerate(row):
-                        have = list(map(scale.__mul__, got[side][ixy]))
-                        need = list(map(den.__mul__, wants[side][ix][iy]))
+                        have = list(map(scale.__mul__, got[ixy]))
+                        need = list(map(den.__mul__, want[ix][iy]))
                         if have != need:
                             iz = list(map(eq, have, need)).index(False)
-                            misses.append((iz, ix, iy, side))
+                            misses.append((iz, ix, iy, side, got[ixy][iz], want[ix][iy][iz]))
             if misses:
-                iz, ix, iy, side = min(misses)
+                iz, ix, iy, side, got_z, want_z = min(misses)
                 return {
                     "identity": ("product-left", "product-right")[side],
                     "x": alg.basis(i)[ix].encode(),
                     "y": alg.basis(k - i)[iy].encode(),
                     "z": alg.basis(k)[iz].encode(),
-                    "got": str(Fraction(got[side][products[ix][iy]][iz], den)),
-                    "want": str(Fraction(wants[side][ix][iy][iz], scale)),
+                    "got": str(Fraction(got_z, den)),
+                    "want": str(Fraction(want_z, scale)),
                 }
     return None
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ._value import Value
 
@@ -281,7 +281,13 @@ def convert(series: SeriesProfile, to_kind: str) -> SeriesProfile:
 # realizability gates
 
 
-def _gate(values: SeriesProfile) -> GateVerdict:
+def _gate(
+    r: SeriesProfile, name: str, derive: Callable[[SeriesProfile], SeriesProfile]
+) -> GateVerdict:
+    _require_kind(r, "R", name)
+    if not r.is_integral():
+        raise ValueError(f"{name} expects an integer dimension series")
+    values = derive(r)
     for n in range(1, values.order + 1):
         c = values.coeff(n)
         if c.denominator != 1 or c < 0:
@@ -291,18 +297,12 @@ def _gate(values: SeriesProfile) -> GateVerdict:
 
 def gate_free_cofree(r: SeriesProfile) -> GateVerdict:
     """Pass iff every s_n derived from r is a nonnegative integer."""
-    _require_kind(r, "R", "gate_free_cofree")
-    if not r.is_integral():
-        raise ValueError("gate_free_cofree expects an integer dimension series")
-    return _gate(s_from_r(r))
+    return _gate(r, "gate_free_cofree", s_from_r)
 
 
 def gate_nck(r: SeriesProfile) -> GateVerdict:
     """Pass iff every d_n derived from r is a nonnegative integer."""
-    _require_kind(r, "R", "gate_nck")
-    if not r.is_integral():
-        raise ValueError("gate_nck expects an integer dimension series")
-    return _gate(d_from_r(r))
+    return _gate(r, "gate_nck", d_from_r)
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ class ForestAlgebra:
             degrees.append(degree)
             objects = self._tree_objects
             objects.append(Tree(label, tuple(objects[c] for c in children)))
-            self._codes.append(f"{label}[{self._code(children)}]")
+            self._codes.append(objects[-1].encode())
         return found
 
     @memo

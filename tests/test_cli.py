@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hopfcalc
-from hopfcalc import trees
+from hopfcalc import cli, trees
 from hopfcalc.catalog import render_table
 from hopfcalc.cli import main
 from hopfcalc.trees import DecorationSet, ForestAlgebra
@@ -602,6 +602,39 @@ def test_closed_stdout_exits_as_for_sigpipe(tmp_path):
         proc.stdout.close()
         assert proc.stderr.read() == b""
         assert proc.wait() == 141
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [["tables", "--which", "s"], ["nck", "dims", "--max-degree", "5"]],
+    ids=["tables", "nck-dims"],
+)
+def test_full_disk_on_stdout_exits_as_resource_exhausted(tmp_path, argv):
+    # every write to /dev/full fails with ENOSPC, the exit-time flush included
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopfcalc", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=tmp_path,
+            env=child_env(),
+        )
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_out_of_memory_exits_as_resource_exhausted(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_tables", exhausted)
+    assert main(["tables", "--which", "s"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_console_script_end_to_end(tmp_path):

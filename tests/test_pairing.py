@@ -948,6 +948,24 @@ def test_multiplicativity_matches_per_entry_oracle_under_a_fault(state, entries,
     assert _check_multiplicativity(faulty) == oracle_multiplicativity(faulty)
 
 
+@pytest.mark.parametrize(
+    "upper, identity", [(True, "product-right"), (False, "product-left")], ids=["upper", "lower"]
+)
+def test_multiplicativity_mirror_runs_on_an_asymmetric_lower_gram(upper, identity):
+    # one tree x tree entry of the degree-3 Gram moves: no product reads it at degree 3, and
+    # the top Gram stays as built, so degree 4 fails; above the diagonal the least failing
+    # triple is one only the transposed pass sees
+    st = build_pairing(4)
+    first, second = st.structure.coordinates(3)[0]
+    rows = st.gram[3].to_rows()
+    rows[first if upper else second][second if upper else first] += 1
+    st.gram[3] = RationalMatrix.from_rows(rows)
+    assert st.gram[4].is_symmetric() and not st.gram[3].is_symmetric()
+    got = _check_multiplicativity(st)
+    assert got == oracle_multiplicativity(st)
+    assert got["identity"] == identity
+
+
 def test_multiplicativity_reports_the_first_triple_by_z_before_x():
     # two faults at degree 4 fail in one block, and the scan by z, then x, then y picks this
     # triple; a scan by x first picks another
