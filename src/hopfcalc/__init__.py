@@ -5,32 +5,15 @@ counts; the Hopf algebra of decorated planar rooted forests with its cut
 coproduct; degree-by-degree structure analysis; and the inductive
 construction of a symmetric nondegenerate self-duality pairing.
 
-The series and catalog names load with the package.  The tree, matrix and
-pairing layers load on first use of one of their names (PEP 562), so the
-series commands never import them.
+The catalog names load with the package; its rows are data.  The series,
+tree, matrix and pairing layers load on first use of one of their names
+(PEP 562), so the series commands never import the tree layers, and the
+pairing commands never import the series layer.
 """
 
 from importlib import import_module
 
 from .catalog import CATALOG, AlgebraCatalogEntry, entry_by_name, render_table
-from .series import (
-    GateVerdict,
-    NonIntegerExponent,
-    SeriesProfile,
-    convert,
-    d_from_r,
-    gate_free_cofree,
-    gate_nck,
-    p_from_r,
-    p_from_s,
-    r_from_d,
-    r_from_p,
-    r_from_s,
-    s_from_p,
-    s_from_r,
-    series_from_json,
-    series_to_json,
-)
 
 __version__ = "0.1.0"
 
@@ -41,6 +24,9 @@ _LAZY = {
         "linalg": "RationalMatrix Subspace kernel_basis",
         "pairing": "AdaptedBasis DegenerateBaseForm PairingReport PairingState adapt_complement"
         " build_pairing check_primitive_orthogonality verify_hopf_pairing",
+        "series": "GateVerdict NonIntegerExponent SeriesProfile convert d_from_r gate_free_cofree"
+        " gate_nck p_from_r p_from_s r_from_d r_from_p r_from_s s_from_p s_from_r series_from_json"
+        " series_to_json",
         "structure": "DegreeDecomposition HopfStructure",
         "trees": "DecorationSet DegreeZeroInput Forest ForestAlgebra Tree parse_forest parse_tree",
     }.items()

@@ -1,9 +1,10 @@
 """Catalog of known free-and-cofree Hopf algebras and their table rows.
 
 Each entry records the dimension series of one algebra for degrees 1..8.
-Five entries follow closed forms; the other three are only known here through
-their generator series, so their dimension series is reconstructed by series
-inversion at import time and round-tripped back as a consistency check.
+Five entries follow closed forms; the other three are only known through
+their generator series, so their dimension series was reconstructed by series
+inversion and is stored as data.  The tests round-trip it back to the
+generator row.  The series layer loads only when a row is converted.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from math import comb, factorial
 
 from ._value import Value
-from .series import SeriesProfile, d_from_r, r_from_s, s_from_r
 
 TABLE_ORDER = 8
 
@@ -22,12 +22,18 @@ class AlgebraCatalogEntry(Value):
     source: str
 
     def r_series(self) -> SeriesProfile:
+        from .series import SeriesProfile
+
         return SeriesProfile.make("R", self.r_coeffs)
 
     def s_row(self) -> tuple[int, ...]:
+        from .series import s_from_r
+
         return _ints(s_from_r(self.r_series()))
 
     def d_row(self) -> tuple[int, ...]:
+        from .series import d_from_r
+
         return _ints(d_from_r(self.r_series()))
 
 
@@ -49,17 +55,12 @@ def _ordered_bell_row(top: int) -> tuple[int, ...]:
     return tuple(values[1:])
 
 
-def _reconstructed(name: str, s_row: tuple[int, ...]) -> AlgebraCatalogEntry:
-    r = r_from_s(SeriesProfile.make("S", s_row))
-    entry = AlgebraCatalogEntry(name, _ints(r), "reconstructed from its generator series")
-    if entry.s_row() != s_row:
-        raise RuntimeError(f"{name}: its dimension series does not give back its generator row")
-    return entry
-
+# the source of an r row that r_from_s gave from the entry's generator row
+_RECONSTRUCTED = "reconstructed from its generator series"
 
 CATALOG: tuple[AlgebraCatalogEntry, ...] = (
     AlgebraCatalogEntry("H_NCK", _catalan_row(TABLE_ORDER), "closed form: Catalan numbers"),
-    _reconstructed("2-As(1)", (1, 1, 2, 8, 31, 141, 642, 3070)),
+    AlgebraCatalogEntry("2-As(1)", (1, 2, 6, 22, 90, 394, 1806, 8558), _RECONSTRUCTED),
     AlgebraCatalogEntry(
         "FQSym",
         tuple(factorial(n) for n in range(1, TABLE_ORDER + 1)),
@@ -75,8 +76,10 @@ CATALOG: tuple[AlgebraCatalogEntry, ...] = (
         tuple((n + 1) ** (n - 1) for n in range(1, TABLE_ORDER + 1)),
         "closed form: (n+1)^(n-1); matches its generator row",
     ),
-    _reconstructed("H_UBP", (1, 2, 9, 86, 1083, 17621, 353420, 8553300)),
-    _reconstructed("H_DP", (1, 2, 12, 165, 3545, 116621, 5722481, 412795614)),
+    AlgebraCatalogEntry("H_UBP", (1, 3, 16, 131, 1496, 22482, 426833, 9934563), _RECONSTRUCTED),
+    AlgebraCatalogEntry(
+        "H_DP", (1, 3, 19, 219, 4231, 130023, 6129859, 431723379), _RECONSTRUCTED
+    ),
     AlgebraCatalogEntry(
         "RPi",
         tuple(factorial(n) ** 2 for n in range(1, TABLE_ORDER + 1)),

@@ -17,21 +17,9 @@ import sys
 from typing import Optional, Sequence
 
 from .catalog import TABLE_ORDER, render_table
-from .series import (
-    NonIntegerExponent,
-    SeriesProfile,
-    convert,
-    gate_free_cofree,
-    gate_nck,
-    p_from_r,
-    r_from_d,
-    s_from_r,
-    series_from_json,
-    series_to_json,
-)
 
-# the tree, structure and pairing layers are imported inside the commands
-# that run them, so the series commands start without them
+# the series, tree, structure and pairing layers are imported inside the
+# commands that run them, so each command starts with only what it runs
 NCK_CAP = 7
 PAIRING_CAP = 6
 
@@ -55,6 +43,8 @@ def _read_text(path: str) -> str:
 
 
 def _load_series(path: str, expect_kind: str) -> SeriesProfile:
+    from .series import series_from_json
+
     text = _read_text(path)
     try:
         series = series_from_json(text)
@@ -107,6 +97,8 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
+    from .series import convert, series_to_json
+
     series = _load_series(args.input, args.from_kind.upper())
     if args.order is not None:
         if args.order < 1 or args.order > series.order:
@@ -120,6 +112,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_gate(args: argparse.Namespace) -> int:
+    from .series import gate_free_cofree, gate_nck
+
     series = _load_series(args.input, "R")
     _print_in_full()
     gate = gate_free_cofree if args.which == "free-cofree" else gate_nck
@@ -138,6 +132,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_nck(args: argparse.Namespace) -> int:
+    from .series import SeriesProfile, p_from_r, r_from_d, s_from_r
+
     cap = _degree_cap(args.max_degree, NCK_CAP, 1)
     decorations = _load_decorations(args.decorations)
     top = args.max_degree
@@ -286,7 +282,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (NonIntegerExponent, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     finally:

@@ -152,7 +152,11 @@ class RationalMatrix(Value):
         return RationalMatrix(self.rows, self.cols, flat, den)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self.num == self.transpose().num
+        n, num = self.cols, self.num
+        # row i right of the diagonal against column i below it, with no transposed copy
+        return self.rows == n and all(
+            num[i * n + i + 1 : (i + 1) * n] == num[(i + 1) * n + i :: n] for i in range(n)
+        )
 
     def rref(self) -> tuple[RationalMatrix, tuple[int, ...]]:
         return _rref(self.int_rows(), self.cols)

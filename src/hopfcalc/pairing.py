@@ -57,10 +57,12 @@ class PairingState(Value):
     def generator_block(self, n: int) -> RationalMatrix:
         """Gram restricted to the primitive-generator basis H of degree n: H G H^T.
 
-        The first product walks the nonzeros of H's sparse rows.
+        Where the degree's certificate formed P G, the block it kept from that product
+        is returned; otherwise the first product walks the nonzeros of H's sparse rows.
         """
-        h = self.structure.decomposition(n).primitive_generators.basis
-        return h @ self.gram[n] @ h.transpose()
+        h, g = self.structure.decomposition(n).primitive_generators.basis, self.gram[n]
+        block = self.structure._memo.get((_GENERATOR_BLOCK, h, g))
+        return h @ g @ h.transpose() if block is None else block
 
     def gram_json(self) -> dict:
         return {
@@ -122,18 +124,24 @@ def _forced_products(state: PairingState, n: int) -> RationalMatrix:
     with the already-built lower-degree Gram matrices.  The rows are read one
     first-tree degree at a time, so that one contraction is held at once.
     """
-    alg = state.structure.algebra
-    table = alg.reduced_table(n)
-    splits = alg.first_trees(n)
-    scales = {i: state.gram[i].den * state.gram[n - i].den for i in range(1, n)}
+    structure = state.structure
+    table = structure.algebra.reduced_table(n)
+    splits = structure.algebra.first_trees(n)
+    # only a tree leads a forest, so each left Gram is contracted by its tree rows alone
+    lefts = {}
+    for i in range(1, n):
+        trees, g = structure.coordinates(i)[0], state.gram[i]
+        lefts[i] = trees, RationalMatrix.from_int_rows([g.int_row(k) for k in trees], g.cols, g.den)
+    # the tree rows may share a factor with the Gram's denominator, so each has its own
+    scales = {i: left.den * state.gram[n - i].den for i, (_, left) in lefts.items()}
     den = lcm(*scales.values())
     rows: dict[int, list[int]] = {}  # numerators over den, by basis index
-    for i, scale in scales.items():
-        values = _contract([column.get(i, ()) for column in table], state.gram[i], state.gram[n - i])
-        up = den // scale
+    for i, (trees, left) in lefts.items():
+        values = _contract([column.get(i, ()) for column in table], left, state.gram[n - i])
+        row_of, up = {k: r for r, k in enumerate(trees)}, den // scales[i]
         for index, (j, a, b) in enumerate(splits):
             if j == i:
-                rows[index] = [up * v for v in values[a][b]]
+                rows[index] = [up * v for v in values[row_of[a]][b]]
     return RationalMatrix.from_int_rows([rows[k] for k in sorted(rows)], len(table), den)
 
 
@@ -337,6 +345,24 @@ def _certified(state: PairingState, n: int) -> bool:
     return n >= 1 and _certify(structure, n, state.gram[n], structure.primitives(n))
 
 
+# the memo key, with H and G, of the H G H^T that _certify keeps
+_GENERATOR_BLOCK = "generator block"
+
+
+def _keep_generator_block(
+    structure: HopfStructure, n: int, g: RationalMatrix, p: RationalMatrix, pg: RationalMatrix
+) -> None:
+    """Keep H G H^T, not P G, from the product P G: the generators H are rows of P."""
+    h = structure.decomposition(n).primitive_generators.basis
+    if p.den % h.den:  # H's rows are rows of P only if its denominator divides P's
+        return
+    at, up = {row: k for k, row in enumerate(p.int_rows())}, p.den // h.den
+    picks = [at.get(tuple(up * x for x in row)) for row in h.int_rows()]
+    if None not in picks:
+        hg = RationalMatrix.from_int_rows([pg.int_row(k) for k in picks], pg.cols, pg.den)
+        structure._memo[_GENERATOR_BLOCK, h, g] = hg @ h.transpose()
+
+
 @memo
 def _certify(structure: HopfStructure, n: int, g: RationalMatrix, prim: Subspace) -> bool:
     """Whether a certificate proves G nondegenerate, with its rows M at multi of kernel span P.
@@ -346,14 +372,17 @@ def _certify(structure: HopfStructure, n: int, g: RationalMatrix, prim: Subspace
     P G on the tree columns.  A rank modulo a prime never exceeds the rank over the
     rationals, so these prove ker M = span P with P's rows independent.  For symmetric G,
     G x = 0 gives M x = 0, so x = P^T c, and then c^T (P G) = (G x)^T = 0 forces c = 0.
-    False proves nothing: callers then run the exact check.
+    False proves nothing: callers then run the exact check.  Once P G is formed, the
+    generator block H G H^T is kept for ``PairingState.generator_block``.
     """
     if prim.ambient_dim != g.cols or not g.is_symmetric():
         return False
+    pg = prim.basis @ g
+    _keep_generator_block(structure, n, g, prim.basis, pg)
     trees, multi = structure.coordinates(n)
     on_trees = []
     # as G is symmetric, the multi-tree columns of P G are M P^T transposed
-    for values in (prim.basis @ g).int_rows():
+    for values in pg.int_rows():
         if any(values[c] for c in multi):
             return False
         on_trees.append([values[c] for c in trees])

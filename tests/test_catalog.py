@@ -12,7 +12,7 @@ from hopfcalc.catalog import (
     render_table,
 )
 from hopfcalc.pairing import build_pairing, check_primitive_orthogonality, verify_hopf_pairing
-from hopfcalc.series import SeriesProfile, gate_free_cofree, gate_nck, p_from_r
+from hopfcalc.series import SeriesProfile, gate_free_cofree, gate_nck, p_from_r, r_from_s
 from hopfcalc.structure import HopfStructure
 from hopfcalc.trees import DecorationSet, ForestAlgebra
 
@@ -78,6 +78,14 @@ def test_reconstructed_r_rows():
         entry = entry_by_name(name)
         assert entry.r_coeffs == row
         assert "reconstructed" in entry.source
+
+
+def test_reconstructed_r_rows_round_trip_their_generator_rows():
+    # the stored rows are data: each is the series inverse of its entry's generator row
+    for name in R_RECONSTRUCTED:
+        entry = entry_by_name(name)
+        assert _ints(r_from_s(SeriesProfile.make("S", S_TABLE[name]))) == entry.r_coeffs
+        assert entry.s_row() == S_TABLE[name]
 
 
 def test_s_rows_frozen():

@@ -1,4 +1,4 @@
-"""The package's public names: the tree, matrix and pairing ones resolve on first use."""
+"""The package's public names: the series, tree, matrix and pairing ones resolve on first use."""
 
 from __future__ import annotations
 
@@ -14,12 +14,13 @@ EAGER = dict.fromkeys(("CATALOG", "AlgebraCatalogEntry", "entry_by_name", "rende
 
 def home(name: str) -> types.ModuleType:
     """The submodule that defines the public ``name``."""
-    return importlib.import_module(f"hopfcalc.{hopfcalc._LAZY.get(name, EAGER.get(name, 'series'))}")
+    return importlib.import_module(f"hopfcalc.{hopfcalc._LAZY.get(name) or EAGER[name]}")
 
 
 def test_dir_covers_all():
     assert set(hopfcalc.__all__) <= set(dir(hopfcalc))
-    assert set(hopfcalc._LAZY) <= set(hopfcalc.__all__)
+    # every public name but the catalog's loads on first use
+    assert set(hopfcalc._LAZY) == set(hopfcalc.__all__) - set(EAGER)
 
 
 def test_public_names_are_their_submodules_objects():
@@ -36,7 +37,7 @@ def test_star_import_binds_all():
     }
 
 
-@pytest.mark.parametrize("name", ["linalg", "pairing", "structure", "trees"])
+@pytest.mark.parametrize("name", ["linalg", "pairing", "series", "structure", "trees"])
 def test_submodules_resolve(name):
     module = getattr(hopfcalc, name)
     assert isinstance(module, types.ModuleType)

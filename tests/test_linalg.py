@@ -155,6 +155,27 @@ def test_matmul_matches_fraction_triple_loop(operands):
     assert product.to_rows() == want
 
 
+def test_is_symmetric_matches_the_transpose():
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(400):
+        rows = rng.randint(0, 5)
+        cols = rows if rng.random() < 0.7 else rng.randint(0, 5)
+        m = random_matrix(rng, rows, cols, rational=rng.random() < 0.5)
+        if rows == cols and rng.random() < 0.6:
+            num = list((m @ m.transpose()).num)  # symmetric, until one entry moves
+            if rows > 1 and rng.random() < 0.3:
+                i, j = rng.sample(range(rows), 2)
+                num[i * rows + j] += 1
+            m = RationalMatrix(rows, cols, num, rng.randint(1, 3))
+        want = m.rows == m.cols and m.num == m.transpose().num
+        assert m.is_symmetric() == want
+        seen.add((want, m.rows == m.cols))
+    assert seen == {(True, True), (False, True), (False, False)}
+    for m in (RationalMatrix(0, 0, ()), RationalMatrix(1, 1, (5,)), M([[1, 2]]), M([[1], [1]])):
+        assert m.is_symmetric() == (m.rows == m.cols)
+
+
 def test_rref_canonical_and_deterministic():
     reduced, pivots = M([[0, 2, 4], [1, 1, 1], [1, 3, 5]]).rref()
     assert pivots == (0, 1)

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 import pytest
 from hypothesis import assume, given, settings, strategies
 
-from hopfcalc import pairing
+from hopfcalc import linalg, pairing
 from hopfcalc.linalg import RationalMatrix, Subspace, kernel_basis, rank_mod_p, stack_rows
 from hopfcalc.pairing import (
     AdaptedBasis,
@@ -263,6 +263,32 @@ def test_generator_block_matches_dense_products(state):
         block = faulty.generator_block(n)
         assert block == dense_generator_block(faulty, n)
         assert block != faulty.base_form[n]
+
+
+@pytest.mark.parametrize("prime", [None, 2])
+def test_generator_block_from_the_certificate_product(monkeypatch, prime):
+    # under PRIME = 2 some ranks fall short and the exact checks decide, but P G is formed
+    if prime is not None:
+        monkeypatch.setattr(linalg, "PRIME", prime)
+    products = []
+
+    def logged(a, b, matmul=RationalMatrix.__matmul__):
+        products.append(b)
+        return matmul(a, b)
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", logged)
+    st = build_pairing(6)
+    verdicts = []
+    for n in range(1, 7):
+        g, h = st.gram[n], st.structure.decomposition(n).primitive_generators.basis
+        want = h @ g @ h.transpose()
+        assert st.generator_block(n) == want
+        products.clear()
+        verdicts.append(_certified(st, n))
+        # the certificate's one product by G leaves the block behind, so none follows
+        assert st.generator_block(n) == want
+        assert sum(b is g for b in products) == 1
+    assert all(verdicts) if prime is None else not all(verdicts)
 
 
 def test_generator_functionals_consistency(state):
@@ -928,6 +954,25 @@ def test_forced_products_match_per_entry_oracle(letters, top):
     assert oracle_multiplicativity(built) is None
     for n in range(1, top + 1):
         assert _forced_products(built, n) == oracle_forced_products(built, n)
+
+
+def test_forced_products_read_the_tree_rows_over_their_own_denominator(state):
+    # the lower Grams' multi-tree rows over 3, their tree rows over 1: only the tree rows
+    # lead a forest, and over their own denominator their numerators change by 3
+    gram = dict(state.gram)
+    for i in range(1, TOP):
+        trees, _ = state.structure.coordinates(i)
+        dim = gram[i].cols
+        gram[i] = RationalMatrix.from_rows(
+            [
+                [Fraction(r * dim + c + 1, 1 if r in trees else 3) for c in range(dim)]
+                for r in range(dim)
+            ]
+        )
+    faulty = PairingState(state.structure, state.max_degree, dict(state.base_form), gram)
+    assert any(gram[i].den == 3 for i in range(1, TOP))
+    for n in range(2, TOP + 1):
+        assert _forced_products(faulty, n) == oracle_forced_products(faulty, n)
 
 
 @pytest.mark.parametrize("entries", [1, 2])
