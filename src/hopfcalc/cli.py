@@ -136,6 +136,7 @@ def cmd_nck(args: argparse.Namespace) -> int:
 
     cap = _degree_cap(args.max_degree, NCK_CAP, 1)
     decorations = _load_decorations(args.decorations)
+    _print_in_full()
     top = args.max_degree
     # the forests are counted by R = 1 + D R^2, not built; verify builds them
     r_series = r_from_d(SeriesProfile.make("D", decorations.degree_counts(top)))

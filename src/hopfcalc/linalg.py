@@ -305,15 +305,6 @@ class Subspace(Value):
                 )
         return cls(ambient_dim, _rref((_clear(v)[0] for v in vectors), ambient_dim)[0])
 
-    @classmethod
-    def coordinate(cls, ambient_dim: int, indices: Iterable[int]) -> Subspace:
-        """Span of the unit vectors at the given coordinates; canonical as built."""
-        picked = sorted(set(indices))
-        if picked and (picked[0] < 0 or picked[-1] >= ambient_dim):
-            raise AmbientMismatch(f"coordinates {picked} in ambient dimension {ambient_dim}")
-        rows = [[int(j == k) for j in range(ambient_dim)] for k in picked]
-        return cls(ambient_dim, RationalMatrix.from_int_rows(rows, ambient_dim))
-
     @property
     def dim(self) -> int:
         return self.basis.rows

@@ -9,9 +9,9 @@ generators vanish on both generator blocks while their values on products are
 forced again.  As the algebra is free on trees, the forced values fill every
 Gram row at a forest of two or more trees, and symmetry their transposes.
 The tree x tree block then follows in closed form (see ``_extend_degree``)
-from three facts: the forced rows vanish on primitives, the residual rows are
-unit vectors at tree coordinates, and the primitive generators are invertible
-on the other tree coordinates, so that square block is the only matrix inverted.
+from three facts: the forced rows vanish on primitives, the residual is a set
+of tree coordinates, and the primitive generators are invertible on the other
+tree coordinates, so that square block is the only matrix inverted.
 
 The forced values and the multiplicativity check read the same contraction:
 for degrees i and n - i, the reduced table is folded into the columns of the
@@ -151,8 +151,8 @@ def _extend_degree(
     """Write the degree-n Gram from its forced rows F and its tree x tree block X.
 
     Three facts give X in closed form: F h^T = 0 for the primitive generators
-    h, the residual rows are unit vectors at tree coordinates R, and h on the
-    other tree coordinates L is a square invertible h_L.  With K^T = h_M F_T
+    h, the residual block is the tree coordinates R, and h on the other tree
+    coordinates L is a square invertible h_L.  With K^T = h_M F_T
     (h on the multi-tree coordinates, F on the trees) and U = h_L^-1 on rows
     L, zero on rows R, X = U (form + h_T K) U^T - K U^T - U K^T pairs h as
     form, and h against the residual and the residual with itself as 0.
@@ -160,7 +160,7 @@ def _extend_degree(
     trees, multi = state.structure.coordinates(n)
     forced = _forced_products(state, n)
     h = split.primitive_generators.basis
-    residual = {row.index(1) for row in split.residual.basis.int_rows()}
+    residual = set(split.residual)
 
     def part(m: RationalMatrix, columns: list[int]) -> RationalMatrix:
         rows = [[row[j] for j in columns] for row in m.int_rows()]
@@ -412,7 +412,7 @@ class OrthogonalityCheck(Value):
 
 def check_primitive_orthogonality(state: PairingState, n: int) -> OrthogonalityCheck:
     """The pairing-orthogonal of the decomposables must be the primitives."""
-    structure = state.structure
+    structure, g = state.structure, state.gram[n]
     # raises FreenessError unless they are the multi-tree coordinates
     decomposables = structure.decomposables(n)
     primitives = structure.primitives(n)
@@ -420,7 +420,9 @@ def check_primitive_orthogonality(state: PairingState, n: int) -> OrthogonalityC
         # the kernel is span P, and its canonical basis is P's reduced row-echelon form
         dim, passed = primitives.dim, primitives.basis.rref()[0] == primitives.basis
     else:
-        orthogonal = kernel_basis(decomposables.basis @ state.gram[n])
+        # the decomposables are unit vectors, so their pairings are the Gram's rows there
+        rows = [g.int_row(k) for k in decomposables]
+        orthogonal = kernel_basis(RationalMatrix.from_int_rows(rows, g.cols, g.den))
         dim, passed = orthogonal.dim, orthogonal == primitives
     return OrthogonalityCheck(n, dim, primitives.dim, passed)
 
@@ -503,8 +505,12 @@ def adapt_complement(state: PairingState, n: int) -> AdaptedBasis:
     split = structure.decomposition(n)
     g = state.gram[n]
     dim = structure.algebra.dim(n)
-    core, m_mat = split.core.basis, split.decomposable_complement.basis
-    h_mat, w_mat = split.primitive_generators.basis, split.residual.basis
+    # the complement and residual are coordinate blocks, whose unit rows are returned
+    m_mat, w_mat = (
+        RationalMatrix.from_int_rows([[int(j == k) for j in range(dim)] for k in block], dim)
+        for block in (split.decomposable_complement, split.residual)
+    )
+    core, h_mat = split.core.basis, split.primitive_generators.basis
     if core.rows:
         duality = core @ g @ w_mat.transpose()
         w_mat = duality.inverse().transpose() @ w_mat

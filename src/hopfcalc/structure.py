@@ -28,26 +28,27 @@ class DegreeDecomposition(Value):
     core ⊕ decomposable_complement = decomposables,
     core ⊕ primitive_generators = primitives, and the direct sum of all four
     blocks is the whole degree.  residual always has the same dimension as
-    core.
+    core.  The algebra is free on trees, so decomposables, decomposable_complement and
+    residual are spanned by basis forests, each stored as the ascending tuple of their indices.
     """
 
     degree: int
     primitives: Subspace
-    decomposables: Subspace
+    decomposables: tuple[int, ...]
     core: Subspace
-    decomposable_complement: Subspace
+    decomposable_complement: tuple[int, ...]
     primitive_generators: Subspace
-    residual: Subspace
+    residual: tuple[int, ...]
 
     def dims(self) -> dict[str, int]:
         return {
             "degree": self.degree,
             "primitives": self.primitives.dim,
-            "decomposables": self.decomposables.dim,
+            "decomposables": len(self.decomposables),
             "core": self.core.dim,
-            "decomposable_complement": self.decomposable_complement.dim,
+            "decomposable_complement": len(self.decomposable_complement),
             "primitive_generators": self.primitive_generators.dim,
-            "residual": self.residual.dim,
+            "residual": len(self.residual),
         }
 
 
@@ -86,11 +87,11 @@ class HopfStructure:
         return _kernel(self._reduced_rows(n), self.algebra.dim(n))
 
     @memo
-    def decomposables(self, n: int) -> Subspace:
-        """Span of all products of positive-degree basis vectors totalling n.
+    def decomposables(self, n: int) -> tuple[int, ...]:
+        """Basis indices of the forests spanning all products of positive degrees totalling n.
 
-        The algebra is free on trees, so these are the unit vectors of the
-        forests of two or more trees; products that say otherwise raise FreenessError.
+        The algebra is free on trees, so these are the forests of two or more trees, in
+        ascending order; products that say otherwise raise FreenessError.
         """
         if n < 1:
             raise ValueError("decomposables are graded by degree >= 1")
@@ -103,7 +104,7 @@ class HopfStructure:
                 f"degree-{n} products of basis forests are not exactly the forests of "
                 f"two or more trees; they differ at {alg.basis(n)[first].encode()!r}"
             )
-        return Subspace.coordinate(alg.dim(n), multi)
+        return tuple(multi)
 
     @memo
     def bracket_space(self, n: int) -> Subspace:
@@ -160,11 +161,11 @@ class HopfStructure:
             primitives=prim,
             decomposables=self.decomposables(n),
             core=Subspace.span(dim, core),
-            decomposable_complement=Subspace.coordinate(dim, set(multi) - led),
+            decomposable_complement=tuple(k for k in multi if k not in led),
             primitive_generators=Subspace(
                 dim, RationalMatrix.from_int_rows(generators, dim, prim.basis.den)
             ),
-            residual=Subspace.coordinate(dim, set(trees) - led),
+            residual=tuple(k for k in trees if k not in led),
         )
 
     def coordinates(self, n: int) -> tuple[list[int], list[int]]:
@@ -182,12 +183,12 @@ class HopfStructure:
         exactly the core block.
         """
         split = self.decomposition(n)
-        generators = self.algebra.dim(n) - split.decomposables.dim
+        generators = self.algebra.dim(n) - len(split.decomposables)
         report = {
             "degree": n,
             "dims": split.dims(),
             "primitive_count_ok": split.primitives.dim == generators,
-            "residual_matches_core": split.residual.dim == split.core.dim,
+            "residual_matches_core": len(split.residual) == split.core.dim,
         }
         if n >= 2:
             report["bracket_matches_core"] = self.bracket_space(n) == split.core

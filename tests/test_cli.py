@@ -184,6 +184,27 @@ def test_input_past_the_digit_cap_is_malformed(tmp_path, capsys, command):
     assert sys.get_int_max_str_digits() == limit
 
 
+@needs_digit_cap
+def test_nck_dims_past_the_digit_cap_prints_in_full(tmp_path, capsys, monkeypatch):
+    # a thousand degree-1 letters give r_n = 1000^n Catalan(n): about 717 digits at n = 200
+    from hopfcalc.series import SeriesProfile, r_from_d
+
+    monkeypatch.setenv("HOPF_CAP", "200")
+    letters = [{"label": f"x{i}", "degree": 1} for i in range(1000)]
+    path = write(tmp_path, "dec.json", json.dumps(letters))
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, "nck", "dims", "--max-degree", "200", "--decorations", path)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(previous)
+    r = r_from_d(SeriesProfile.make("D", [1000] + [0] * 199))
+    assert json.loads(out)["r"] == [int(c) for c in r.coeffs]
+    assert len(str(r.coeffs[-1])) > 640
+
+
 def test_gate_nck_fails_on_counterexample(tmp_path, capsys):
     path = write(tmp_path, "r.json", '{"kind": "R", "order": 3, "coeffs": ["1","2","4"]}')
     code, out, _ = run_cli(capsys, "gate", "--which", "nck", "--input", path)

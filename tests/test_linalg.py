@@ -339,14 +339,6 @@ def test_subspace_canonical_equality():
         contains(a, [1, 0])
 
 
-def test_coordinate_subspace():
-    assert Subspace.coordinate(4, [2, 0]) == Subspace.span(4, [[0, 0, 1, 0], [1, 0, 0, 0]])
-    assert Subspace.coordinate(3, []) == zero_space(3)
-    assert Subspace.coordinate(2, [1, 0]) == full_space(2)
-    with pytest.raises(AmbientMismatch):
-        Subspace.coordinate(2, [2])
-
-
 def test_matrix_subtraction():
     a = RationalMatrix.from_rows([[1, 2], [3, 4]])
     b = RationalMatrix.from_rows([[0, 1], [1, 0]])

@@ -28,7 +28,7 @@ from hopfcalc.pairing import (
 )
 from hopfcalc.structure import DegreeDecomposition, HopfStructure
 from hopfcalc.trees import DecorationSet, ForestAlgebra, parse_forest
-from test_span_oracle import span_ops
+from test_span_oracle import span_ops, unit_rows
 
 TOP = 5
 
@@ -52,8 +52,8 @@ def oracle_extend_degree(
     # vectors in basis order, and that core and complement rows live on them
     _, multi = state.structure.coordinates(n)
     forced = _forced_products(state, n)
-    core, m_mat = split.core.basis, split.decomposable_complement.basis
-    h_mat, w_mat = split.primitive_generators.basis, split.residual.basis
+    core, m_mat = split.core.basis, unit_rows(dim, split.decomposable_complement).basis
+    h_mat, w_mat = split.primitive_generators.basis, unit_rows(dim, split.residual).basis
     b_inv = stack_rows([core, m_mat, h_mat, w_mat], cols=dim).inverse()
     h_offset = core.rows + m_mat.rows
 
@@ -67,7 +67,7 @@ def oracle_extend_degree(
     # basis and vanishes on the rest: rows of b_inv's generator columns
     parts.append(form @ _row_block(b_inv.transpose(), h_offset, h_offset + h_mat.rows))
     if w_mat.rows:
-        conditions = stack_rows([split.decomposables.basis, h_mat, w_mat], cols=dim)
+        conditions = stack_rows([unit_rows(dim, split.decomposables).basis, h_mat, w_mat], cols=dim)
         on_units = _row_block(conditions.inverse().transpose(), 0, len(multi))
         # <w, t . rest> = <coproduct of w, t (x) rest> is forced row k times w,
         # as the lower Grams are symmetric; w vanishes on both generator blocks
@@ -98,7 +98,8 @@ def oracle_tree_block_degree(
         for j in trees:
             rows[j][k] = row[j]
     g0 = RationalMatrix.from_int_rows(rows, dim, forced.den)
-    gens = stack_rows([split.primitive_generators.basis, split.residual.basis], cols=dim)
+    residual = unit_rows(dim, split.residual).basis
+    gens = stack_rows([split.primitive_generators.basis, residual], cols=dim)
     t, s = len(trees), form.rows
     wanted = [list(row) + [0] * (t - s) for row in form.int_rows()] + [[0] * t] * (t - s)
     excess = gens @ g0 @ gens.transpose() - RationalMatrix.from_int_rows(wanted, t, form.den)
@@ -124,7 +125,7 @@ def assert_closed_form_facts(state: PairingState, n: int) -> None:
     split = state.structure.decomposition(n)
     h = split.primitive_generators.basis
     assert not any((h @ _forced_products(state, n).transpose()).num)
-    residual = split.residual.basis
+    residual = unit_rows(h.cols, split.residual).basis
     assert residual.den == 1
     leads = []
     for row in residual.int_rows():
@@ -293,16 +294,17 @@ def test_generator_block_from_the_certificate_product(monkeypatch, prime):
 
 def test_generator_functionals_consistency(state):
     for n in range(1, TOP + 1):
-        split = state.structure.decomposition(n)
-        gens = split.primitive_generators.basis.to_rows() + split.residual.basis.to_rows()
-        funcs = RationalMatrix.from_rows(gens, cols=state.structure.algebra.dim(n)) @ state.gram[n]
+        split, dim = state.structure.decomposition(n), state.structure.algebra.dim(n)
+        residual = unit_rows(dim, split.residual).basis.to_rows()
+        gens = split.primitive_generators.basis.to_rows() + residual
+        funcs = RationalMatrix.from_rows(gens, cols=dim) @ state.gram[n]
         # generator functionals vanish on the residual block, and the
         # primitive-generator ones vanish on the decomposables too
         for i in range(funcs.rows):
-            for w in split.residual.basis.to_rows():
+            for w in residual:
                 assert sum(a * b for a, b in zip(funcs.row(i), w)) == 0
         for i in range(split.primitive_generators.dim):
-            for d in split.decomposables.basis.to_rows():
+            for d in unit_rows(dim, split.decomposables).basis.to_rows():
                 assert sum(a * b for a, b in zip(funcs.row(i), d)) == 0
 
 
@@ -338,9 +340,9 @@ def test_adapt_preserves_spans(state):
         adapted = adapt_complement(state, n)
         dim = state.structure.algebra.dim(n)
         new_m = Subspace.span(dim, adapted.decomposable_complement_rows.to_rows())
-        assert span_ops(split.core, new_m).sum == split.decomposables
+        assert span_ops(split.core, new_m).sum == unit_rows(dim, split.decomposables)
         assert span_ops(split.core, new_m).intersection.dim == 0
-        assert Subspace.span(dim, adapted.residual_rows.to_rows()) == split.residual
+        assert Subspace.span(dim, adapted.residual_rows.to_rows()) == unit_rows(dim, split.residual)
         blocks = (
             adapted.core_rows,
             adapted.decomposable_complement_rows,
@@ -356,8 +358,9 @@ def test_adapt_is_noop_when_core_trivial(state):
         adapted = adapt_complement(state, n)
         assert adapted.core_rows.rows == 0
         assert adapted.residual_rows.rows == 0
+        dim = state.structure.algebra.dim(n)
         assert adapted.decomposable_complement_rows.to_rows() == (
-            split.decomposable_complement.basis.to_rows()
+            unit_rows(dim, split.decomposable_complement).basis.to_rows()
         )
 
 

@@ -6,8 +6,8 @@ kernel of the stacked bases, complements by greedy extension.  The library
 now derives the blocks from freeness instead; these routines stay here so the
 tests can rebuild every block the general way and compare.  ``contains``,
 ``full_space`` and ``zero_space`` are the membership test and the two trivial
-subspaces, and ``unit`` the coordinates of one basis forest; only the tests
-use them.
+subspaces, ``unit`` the coordinates of one basis forest, and ``unit_rows`` the
+subspace a coordinate block's index tuple stands for; only the tests use them.
 """
 
 from __future__ import annotations
@@ -30,6 +30,16 @@ def zero_space(ambient_dim: int) -> Subspace:
 
 def full_space(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, RationalMatrix.identity(ambient_dim))
+
+
+def unit_rows(dim: int, indices: Sequence[int]) -> Subspace:
+    """Span of the unit vectors at the given basis indices, one row each.
+
+    Ascending indices give the canonical basis, so the subspace equals one
+    built by ``Subspace.span``; indices out of order give a basis that does not.
+    """
+    rows = [[int(j == k) for j in range(dim)] for k in indices]
+    return Subspace(dim, RationalMatrix.from_int_rows(rows, dim))
 
 
 def unit(alg: ForestAlgebra, forest: Forest) -> list[int]:
@@ -134,10 +144,17 @@ def oracle_decomposition(structure: HopfStructure, n: int) -> DegreeDecompositio
     """The four blocks of degree n built with the general subspace calculus.
 
     Only the primitives come from the structure; the decomposables are
-    re-spanned from every product row.
+    re-spanned from every product row.  The three coordinate blocks come out
+    as the index tuples of their unit rows, checked through ``unit_rows``.
     """
     alg = structure.algebra
     dim = alg.dim(n)
+
+    def indices(space: Subspace) -> tuple[int, ...]:
+        leads = space.basis.rref()[1]
+        assert space == unit_rows(dim, leads)
+        return leads
+
     prim = structure.primitives(n)
     dec = Subspace.span(
         dim,
@@ -154,11 +171,11 @@ def oracle_decomposition(structure: HopfStructure, n: int) -> DegreeDecompositio
     return DegreeDecomposition(
         degree=n,
         primitives=prim,
-        decomposables=dec,
+        decomposables=indices(dec),
         core=core,
-        decomposable_complement=span_ops(core, dec).complement_of_a_in_sum,
+        decomposable_complement=indices(span_ops(core, dec).complement_of_a_in_sum),
         primitive_generators=span_ops(core, prim).complement_of_a_in_sum,
-        residual=Subspace.span(dim, kept),
+        residual=indices(Subspace.span(dim, kept)),
     )
 
 

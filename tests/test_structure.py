@@ -10,7 +10,7 @@ from hopfcalc.linalg import RationalMatrix, Subspace, kernel_basis, stack_rows
 from hopfcalc.series import SeriesProfile, p_from_r, s_from_r
 from hopfcalc.structure import DegreeDecomposition, FreenessError, HopfStructure
 from hopfcalc.trees import DecorationSet, DegreeZeroInput, ForestAlgebra, parse_forest
-from test_span_oracle import full_space, oracle_decomposition, span_ops
+from test_span_oracle import full_space, oracle_decomposition, span_ops, unit_rows
 
 TOP = 5
 
@@ -117,16 +117,16 @@ def test_primitive_dims_match_series(hs):
 
 def test_decomposables_dims_and_freeness(hs):
     alg = hs.algebra
-    assert hs.decomposables(1).dim == 0
-    assert hs.decomposables(2).basis.to_rows() == [[1, 0]]  # the two-dot forest
-    assert hs.decomposables(4).dim == 9  # total 14 minus 5 single trees
+    assert len(hs.decomposables(1)) == 0
+    assert unit_rows(2, hs.decomposables(2)).basis.to_rows() == [[1, 0]]  # the two-dot forest
+    assert len(hs.decomposables(4)) == 9  # total 14 minus 5 single trees
     for n in range(1, TOP + 1):
         multi = [
             [Fraction(1 if i == k else 0) for i in range(alg.dim(n))]
             for k, f in enumerate(alg.basis(n))
             if len(f.trees) >= 2
         ]
-        assert hs.decomposables(n) == Subspace.span(alg.dim(n), multi)
+        assert unit_rows(alg.dim(n), hs.decomposables(n)) == Subspace.span(alg.dim(n), multi)
 
 
 def test_decomposables_raise_when_products_miss_a_forest(monkeypatch):
@@ -145,7 +145,7 @@ def test_decomposables_raise_when_products_miss_a_forest(monkeypatch):
 def test_primitive_count_check(hs):
     for n in range(1, TOP + 1):
         assert hs.degree_report(n)["primitive_count_ok"] is True
-        assert hs.primitives(n).dim == hs.algebra.dim(n) - hs.decomposables(n).dim
+        assert hs.primitives(n).dim == hs.algebra.dim(n) - len(hs.decomposables(n))
     dims = hs.degree_report(3)["dims"]
     assert (dims["primitives"], hs.algebra.dim(3), dims["decomposables"]) == (2, 5, 3)
 
@@ -175,20 +175,19 @@ def test_decomposition_invariants(hs):
     for n in range(1, TOP + 1):
         split = hs.decomposition(n)
         whole = full_space(alg.dim(n))
-        assert split.core == span_ops(split.primitives, split.decomposables).intersection
-        assert direct_sum_holds(split.core, split.decomposable_complement, split.decomposables)
+        dec, comp, residual = (
+            unit_rows(alg.dim(n), block)
+            for block in (split.decomposables, split.decomposable_complement, split.residual)
+        )
+        assert split.core == span_ops(split.primitives, dec).intersection
+        assert direct_sum_holds(split.core, comp, dec)
         assert direct_sum_holds(split.core, split.primitive_generators, split.primitives)
-        spanned = span_ops(split.primitives, split.decomposables).sum
-        assert direct_sum_holds(spanned, split.residual, whole)
-        assert split.residual.dim == split.core.dim
+        spanned = span_ops(split.primitives, dec).sum
+        assert direct_sum_holds(spanned, residual, whole)
+        assert residual.dim == split.core.dim
         assert split.primitive_generators.dim == s[n - 1]
         stacked = stack_rows(
-            [
-                split.core.basis,
-                split.decomposable_complement.basis,
-                split.primitive_generators.basis,
-                split.residual.basis,
-            ],
+            [split.core.basis, comp.basis, split.primitive_generators.basis, residual.basis],
             cols=alg.dim(n),
         )
         assert stacked.rank() == alg.dim(n)
@@ -219,10 +218,41 @@ def test_decomposition_matches_span_ops_oracle(decorations, top):
 
 def test_decomposition_degree_7_digest():
     # the span_ops oracle is too slow at degree 7; the blocks are pinned by a digest instead
-    split = HopfStructure().decomposition(7)
-    blocks = (split.core, split.decomposable_complement, split.primitive_generators, split.residual)
+    structure = HopfStructure()
+    split, dim = structure.decomposition(7), structure.algebra.dim(7)
+    comp, residual = unit_rows(dim, split.decomposable_complement), unit_rows(dim, split.residual)
+    blocks = (split.core, comp, split.primitive_generators, residual)
     digest = hashlib.sha256(repr([(b.basis.num, b.basis.den) for b in blocks]).encode()).hexdigest()
     assert digest == "ef63bc33da488c83bc813eca278f1e9232c58ed42b377e19ff7cbaa7fc68fd89"
+
+
+@pytest.mark.parametrize(
+    "decorations, top", [((("a", 1),), 6), ((("a", 1), ("b", 2)), 5)], ids=["a1-d6", "a1b2-d5"]
+)
+def test_coordinate_blocks_are_index_tuples(decorations, top):
+    structure = HopfStructure(ForestAlgebra(DecorationSet(decorations)))
+    for n in range(1, top + 1):
+        split, dim = structure.decomposition(n), structure.algebra.dim(n)
+        trees, multi = structure.coordinates(n)
+        blocks = (split.decomposables, split.decomposable_complement, split.residual)
+        for block in blocks:
+            assert type(block) is tuple and list(block) == sorted(set(block)), n
+        assert split.decomposables == tuple(multi) == structure.decomposables(n)
+        assert set(split.decomposable_complement) <= set(multi)
+        assert set(split.residual) <= set(trees)
+        assert set(split.residual).isdisjoint(split.decomposables)
+        assert len(split.residual) == split.core.dim
+        stacked = stack_rows(
+            [
+                split.core.basis,
+                unit_rows(dim, split.decomposable_complement).basis,
+                split.primitive_generators.basis,
+                unit_rows(dim, split.residual).basis,
+            ],
+            cols=dim,
+        )
+        # the four blocks are a basis: a square stack of full rank
+        assert stacked.rows == dim and stacked.rank() == dim, n
 
 
 def test_decomposition_frozen_small_degrees(hs):
@@ -238,9 +268,9 @@ def test_decomposition_frozen_small_degrees(hs):
 
 def test_residual_rows_are_unit_vectors(hs):
     # the residual complement is picked greedily from canonical unit vectors,
-    # so its echelon basis is a set of unit vectors
+    # so its echelon basis is a set of unit vectors, one per index in range
     for n in range(1, TOP + 1):
-        for row in hs.decomposition(n).residual.basis.to_rows():
+        for row in unit_rows(hs.algebra.dim(n), hs.decomposition(n).residual).basis.to_rows():
             assert sorted(row) == [0] * (len(row) - 1) + [1]
 
 
@@ -254,7 +284,9 @@ def test_degree_report_shape(hs):
     assert "bracket_matches_core" not in hs.degree_report(1)
 
 
-def without_row(space: Subspace, r: int) -> Subspace:
+def without_row(space: Subspace | tuple[int, ...], r: int) -> Subspace | tuple[int, ...]:
+    if isinstance(space, tuple):
+        return space[:r] + space[r + 1 :]
     rows = space.basis.int_rows()
     kept = rows[:r] + rows[r + 1 :]
     return Subspace(space.ambient_dim, RationalMatrix.from_int_rows(kept, space.ambient_dim, space.basis.den))
@@ -271,7 +303,7 @@ def test_degree_report_flags_a_dropped_block_row(n, block, flagged, monkeypatch)
     split = structure.decomposition(n)
     flags = ("primitive_count_ok", "residual_matches_core", "bracket_matches_core")
     assert all(structure.degree_report(n)[key] for key in flags)
-    for r in (0, getattr(split, block).dim - 1):
+    for r in (0, split.dims()[block] - 1):
         blocks = {
             "primitives": split.primitives,
             "decomposables": split.decomposables,
@@ -331,7 +363,7 @@ def test_two_decoration_structure_smoke():
         split = hs2.decomposition(n)
         assert split.primitives.dim == p[n - 1]
         assert split.primitive_generators.dim == s[n - 1]
-        assert split.residual.dim == split.core.dim
+        assert len(split.residual) == split.core.dim
         report = hs2.degree_report(n)
         assert report["primitive_count_ok"]
         if n >= 2:

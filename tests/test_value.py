@@ -49,11 +49,11 @@ CASES = [
         {
             "degree": 1,
             "primitives": LINE,
-            "decomposables": ZERO,
+            "decomposables": (),
             "core": ZERO,
-            "decomposable_complement": ZERO,
+            "decomposable_complement": (),
             "primitive_generators": LINE,
-            "residual": ZERO,
+            "residual": (),
         },
         ("degree", 2),
         None,
